@@ -35,13 +35,14 @@ use workload::{Prepared, Seeds, Setup, TracedWorker, Workload, WORKLOADS};
 /// Closed-loop clients: one per core of the reference machine.
 const WORKERS: usize = 2;
 /// Set-ups per run; `setup_s` is their median.
-const SETUP_REPS: usize = 3;
-/// `trial_ms_tail` is this percentile of the timed trials…
-const TAIL_PCT: f64 = 80.0;
-/// …and the untraced run times at least this many trials, so at least ten
-/// samples lie beyond it. `rounds_p50` is the median over the first
-/// `MIN_TRIALS` trial seeds, so it is a pure function of `--seed`.
-const MIN_TRIALS: u64 = 50;
+const SETUP_REPS: usize = 5;
+/// At least this many timed trials lie beyond `trial_ms_tail`, the
+/// workload's `tail_pct` percentile: the untraced run times at least
+/// [`tail_min_trials`] trials, whatever the run length.
+const TAIL_BEYOND: f64 = 10.0;
+/// `rounds_p50` is the median over the first `ROUNDS_PREFIX` trial seeds, so
+/// it is a pure function of `--seed`. No workload times fewer trials.
+const ROUNDS_PREFIX: u64 = 50;
 /// The traced run's minimum; its counts come from the first `PREFIX` trial
 /// seeds, so they too are a pure function of `--seed`.
 const PREFIX: u64 = 16;
@@ -205,6 +206,12 @@ fn setups(
     (last.expect("SETUP_REPS > 0"), times)
 }
 
+/// Fewest trials that leave [`TAIL_BEYOND`] samples beyond the workload's
+/// tail percentile.
+fn tail_min_trials(wl: &Workload) -> u64 {
+    (TAIL_BEYOND / (1.0 - wl.tail_pct / 100.0)).ceil() as u64
+}
+
 struct Sample {
     idx: u64,
     /// `TrialRecord::default()` when the trial returned an error.
@@ -214,12 +221,10 @@ struct Sample {
 }
 
 /// One closed-loop phase: samples sorted by trial index (always the
-/// contiguous range `0..len`), the phase's wall time, and the time workers
-/// sat idle between their last trial and the end of the phase.
+/// contiguous range `0..len`) and the phase's wall time.
 struct Phase {
     samples: Vec<Sample>,
     wall: Duration,
-    idle: Duration,
 }
 
 /// Runs trials on one thread per worker state: each worker claims the next
@@ -236,13 +241,13 @@ fn closed_loop<S: Send>(
     let cursor = AtomicU64::new(0);
     // rn-lint: allow(no-wall-clock) — closed-loop phase timing is the benchmark's measurement
     let start = Instant::now();
-    let per_worker: Vec<(Vec<Sample>, Duration)> = std::thread::scope(|s| {
+    let per_worker: Vec<Vec<Sample>> = std::thread::scope(|s| {
         let handles: Vec<_> = states
             .iter_mut()
             .map(|state| {
                 let cursor = &cursor;
                 s.spawn(move || {
-                    let (mut samples, mut last_end) = (Vec::new(), Duration::ZERO);
+                    let mut samples = Vec::new();
                     while start.elapsed().as_secs_f64() < seconds
                         || cursor.load(Ordering::SeqCst) < min
                     {
@@ -256,23 +261,18 @@ fn closed_loop<S: Send>(
                             Err(e) => (TrialRecord::default(), Some(e)),
                         };
                         fold(state, idx, record, dt);
-                        last_end = start.elapsed();
                         samples.push(Sample { idx, record, ms: dt.as_secs_f64() * 1e3, error });
                     }
-                    (samples, last_end)
+                    samples
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("trial worker panicked")).collect()
     });
     let wall = start.elapsed();
-    let mut phase = Phase { samples: Vec::new(), wall, idle: Duration::ZERO };
-    for (samples, last_end) in per_worker {
-        phase.samples.extend(samples);
-        phase.idle += wall.saturating_sub(last_end);
-    }
-    phase.samples.sort_by_key(|s| s.idx);
-    phase
+    let mut samples: Vec<Sample> = per_worker.into_iter().flatten().collect();
+    samples.sort_by_key(|s| s.idx);
+    Phase { samples, wall }
 }
 
 fn fold_into(acc: &Mutex<TrialAccumulator>, idx: u64, rec: TrialRecord, dt: Duration) {
@@ -286,7 +286,7 @@ fn untraced_run(args: &Args, report: &mut Report) {
     let phase = closed_loop(
         &mut pools,
         args.seconds,
-        MIN_TRIALS,
+        tail_min_trials(args.workload),
         &|pool: &mut TrialPool, idx| Ok(prepared.run(pool, seeds.trial(idx))),
         &|_, idx, rec, dt| fold_into(&acc, idx, rec, dt),
     );
@@ -296,12 +296,12 @@ fn untraced_run(args: &Args, report: &mut Report) {
     let ms: Vec<f64> = phase.samples.iter().map(|s| s.ms).collect();
     let n = ms.len();
     report.metric("trial_ms_p50", percentile(&ms, 50.0), "ms", n);
-    report.metric("trial_ms_tail", percentile(&ms, TAIL_PCT), "ms", n);
+    report.metric("trial_ms_tail", percentile(&ms, args.workload.tail_pct), "ms", n);
     report.metric("trials_per_s", n as f64 / phase.wall.as_secs_f64(), "1/s", n);
     report.metric("setup_s", percentile(&setup_s, 50.0), "s", setup_s.len());
     report.metric("peak_rss_mb", peak_rss_mb(), "MB", 1);
     let rounds: Vec<f64> =
-        phase.samples[..MIN_TRIALS as usize].iter().map(|s| s.record.rounds as f64).collect();
+        phase.samples[..ROUNDS_PREFIX as usize].iter().map(|s| s.record.rounds as f64).collect();
     report.metric("rounds_p50", percentile(&rounds, 50.0), "rounds", rounds.len());
     print_digest(&acc, &phase);
 }
@@ -466,20 +466,12 @@ fn layer_metrics(
     };
     report.metric("setup.graph_pct", med(&setups, &graph_share), "%", s);
 
-    let partition = ms("cluster.partition");
-    let schedule = ms("schedule.rebuild");
-    let precompute = ms("core.precompute");
-    report.metric("cluster.partition_ms", med(&trials, &partition), "ms", t);
+    report.metric("cluster.partition_ms", med(&trials, &ms("cluster.partition")), "ms", t);
     report.metric("cluster.partitions", med(prefix, &count("cluster.partitions")), "count", k);
     report.metric("cluster.clusters", med(prefix, &count("cluster.clusters")), "count", k);
-    report.metric("schedule.rebuild_ms", med(&trials, &schedule), "ms", t);
+    report.metric("schedule.rebuild_ms", med(&trials, &ms("schedule.rebuild")), "ms", t);
     report.metric("schedule.rebuilds", med(prefix, &count("schedule.rebuilds")), "count", k);
-    report.metric("core.precompute_ms", med(&trials, &precompute), "ms", t);
-    // The replay runs outside `Precomputed::rebuild`, so the glue is its
-    // span minus the replayed partition and schedule time (negative when the
-    // replay ran slower than the precompute it repeats).
-    let glue = |id| precompute(id) - partition(id) - schedule(id);
-    report.metric("core.precompute_self_ms", med(&trials, &glue), "ms", t);
+    report.metric("core.precompute_ms", med(&trials, &ms("core.precompute")), "ms", t);
     report.metric("core.reuse_ms", med(&trials, &ms("core.reuse")), "ms", t);
     report.metric("core.charged_rounds", med(prefix, &count("core.charged_rounds")), "count", k);
     report.metric("core.candidates", med(prefix, &count("core.candidates")), "count", k);
@@ -501,7 +493,6 @@ fn layer_metrics(
 
     let fold_us = |id| 1e3 * ms("bench.fold")(id);
     report.metric("bench.fold_us", med(&trials, &fold_us), "us", t);
-    report.metric("bench.worker_idle_ms", traced.idle.as_secs_f64() * 1e3, "ms", WORKERS);
 
     let trial_spans: Vec<&Span> =
         spans.iter().filter(|s| s.name == "trial" && s.trial < trials.len() as u64).collect();
@@ -592,7 +583,7 @@ fn provenance(args: &Args) -> Vec<(&'static str, String)> {
         ("cpu", cpu),
         ("rustc", rustc),
         ("commit", git_commit()),
-        ("tail_percentile", TAIL_PCT.to_string()),
+        ("tail_percentile", wl.tail_pct.to_string()),
     ]
 }
 

@@ -42,6 +42,10 @@ pub struct Workload {
     pub topology: &'static str,
     pub protocol: &'static str,
     pub split: Split,
+    /// Percentile reported as `trial_ms_tail`: the highest multiple of five
+    /// that leaves at least ten samples beyond it in a median 20 s run on the
+    /// reference machine.
+    pub tail_pct: f64,
 }
 
 /// Why each is here is recorded in `BENCHMARK.json` and `perfbench/README.md`.
@@ -51,18 +55,21 @@ pub const WORKLOADS: [Workload; 3] = [
         topology: "rgg(20000,0.014)",
         protocol: "broadcast",
         split: Split::Broadcast,
+        tail_pct: 80.0,
     },
     Workload {
         name: "election_grid",
         topology: "grid(150x150)",
         protocol: "leader_election",
         split: Split::Election,
+        tail_pct: 85.0,
     },
     Workload {
         name: "decay_dense",
         topology: "rgg(50000,0.03)",
         protocol: "decay(16)",
         split: Split::Whole,
+        tail_pct: 90.0,
     },
 ];
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Steadiness check for the benchmark described by BENCHMARK.json.
 
-Runs every workload once per seed (each run its own process, as the
-benchmark requires), then prints each metric's median, quartiles and
-quartile spread (Q3 - Q1) / median next to its bound. A spread below a third
-of the bound is marked "ok". The first seed is then run a second time: every
+Runs every workload of BENCHMARK.json once per seed 1..runs for its
+run_seconds (each run its own process, as the benchmark requires), then
+prints each metric's median, quartiles and quartile spread (Q3 - Q1) /
+median next to its bound. A spread below a third of the bound is marked
+"ok". The first seed is then run a second time: every
 metric with unit "count", "rounds" or "ratio" must repeat exactly.
 
     python3 perfbench/steady.py --runs 10            # end-to-end metrics
@@ -48,10 +49,7 @@ def spread(values):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--runs", type=int, default=10, help="seeds per workload (1..runs)")
-    ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--seconds", type=int, help="override run_seconds")
-    ap.add_argument("--workloads", help="comma-separated subset")
     ap.add_argument("--record", help="append the summary to this trajectory file")
     ap.add_argument("--label", default="", help="label of the recorded point")
     opts = ap.parse_args()
@@ -60,12 +58,10 @@ def main():
 
     bench = json.load(open("BENCHMARK.json"))
     os.environ.setdefault("CARGO_TARGET_DIR", ".bench_build")
-    seconds = opts.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics = bench["per_layer" if opts.trace else "end_to_end"]
     workloads = [w["name"] for w in bench["workloads"]]
-    if opts.workloads:
-        workloads = opts.workloads.split(",")
-    seeds = list(range(opts.first_seed, opts.first_seed + opts.runs))
+    seeds = list(range(1, opts.runs + 1))
 
     summary, prov, failed = {}, {}, False
     for wl in workloads:
