@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-//!     --workload broadcast_rgg --seed 1 --seconds 20 --trace 0
+//!     --workload broadcast_rgg --seed 1 --seconds 35 --trace 0
 //! ```
 //!
 //! One process runs one workload. It builds the workload's topology from a
