@@ -1,28 +1,21 @@
 //! Scale suite: the engine hot path at `10⁵`–`10⁶` nodes.
 //!
-//! Four groups, all on the random-geometric topologies the scale-smoke
+//! Five groups, all on the random-geometric topologies the scale-smoke
 //! CI lane exercises:
 //!
-//! * `scale_engine_mode` — the same `10⁵`-node broadcast workload under
-//!   [`EngineMode::Frontier`] (SoA/bitset scratch, the default) and
-//!   [`EngineMode::Reference`] (stamp vectors). Round counts are
-//!   byte-identical by construction — the differential tests pin that — so
-//!   any wall-clock gap is pure engine-layout effect.
 //! * `scale_coin_sampler` — [`DecayBroadcast`] with per-index coins (the
 //!   registered default, sequence-pinned by the committed baselines) vs the
 //!   batched SplitMix64 word sampler ([`CoinSampler::Batched`]).
 //! * `scale_dense_rounds` — `decay(16)` on a mean-degree-`~125` RGG at
-//!   `10⁵` nodes, frontier vs reference. The frontier engine's degree-sum
-//!   trigger routes almost every round of this workload through the
-//!   word-level dense kernel (bitmap-row OR/AND accumulation), so the gap
-//!   over reference measures the dense kernel plus SoA state together.
+//!   `10⁵` nodes. The engine's degree-sum trigger routes almost every
+//!   round of this workload through the word-level dense kernel
+//!   (bitmap-row OR/AND accumulation).
 //! * `scale_pooled_vs_fresh` — multi-trial `decay(16)` batches (ten at
 //!   `10⁵` nodes, one hundred at the `2×10³` campaign scale) through the
 //!   fresh per-trial path vs one long-lived [`TrialPool`] — the
 //!   steady-state zero-allocation contract's wall-clock payoff.
 //! * `scale_dense_cd` — `broadcast_cd` (collision detection pinned) on the
-//!   same mean-degree-`~125` RGG, frontier vs reference: the CD word-level
-//!   dense kernel A/B.
+//!   same mean-degree-`~125` RGG: the CD word-level dense kernel.
 //! * `scale_million` — one `10⁶`-node end-to-end trial, **gated** behind
 //!   `RN_BENCH_SCALE_MILLION=1` so a default `cargo bench` stays minutes,
 //!   not tens of minutes.
@@ -31,35 +24,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rn_bench::BenchWorkload;
 use rn_decay::{CoinSampler, DecayBroadcast};
 use rn_graph::TopologySpec;
-use rn_sim::{
-    with_default_engine_mode, CollisionModel, EngineMode, NetParams, Simulator, TrialPool,
-};
-
-/// The 10⁵-node workload both A/B groups share (same shape as the CI
-/// scale-smoke cell, cheaper protocol so ten samples stay under a minute).
-const SCALE_SCENARIO: &str = "bgi@rgg(100000,0.006)";
+use rn_sim::{CollisionModel, NetParams, Simulator, TrialPool};
 
 /// Graph-build seed: benches pin one topology instance across all runs.
 const TOPOLOGY_SEED: u64 = 0x5CA1E;
-
-fn bench_engine_modes(c: &mut Criterion) {
-    let w = BenchWorkload::resolve(SCALE_SCENARIO, TOPOLOGY_SEED);
-    let mut group = c.benchmark_group("scale_engine_mode");
-    group.sample_size(5);
-    for (mode, label) in [(EngineMode::Frontier, "frontier"), (EngineMode::Reference, "reference")]
-    {
-        group.bench_function(format!("{}/{label}", w.name), |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let r = with_default_engine_mode(mode, || w.run_trial(seed));
-                assert!(r.completed, "{SCALE_SCENARIO} must complete under {label}");
-                r.rounds
-            });
-        });
-    }
-    group.finish();
-}
 
 fn bench_coin_samplers(c: &mut Criterion) {
     let spec: TopologySpec = "rgg(100000,0.006)".parse().expect("topology spec parses");
@@ -89,18 +57,15 @@ fn bench_dense_rounds(c: &mut Criterion) {
     let w = BenchWorkload::resolve("decay(16)@rgg(100000,0.02)", TOPOLOGY_SEED);
     let mut group = c.benchmark_group("scale_dense_rounds");
     group.sample_size(5);
-    for (mode, label) in [(EngineMode::Frontier, "frontier"), (EngineMode::Reference, "reference")]
-    {
-        group.bench_function(format!("{}/{label}", w.name), |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let r = with_default_engine_mode(mode, || w.run_trial(seed));
-                assert!(r.completed, "dense decay broadcast must complete under {label}");
-                r.rounds
-            });
+    group.bench_function(w.name.clone(), |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let r = w.run_trial(seed);
+            assert!(r.completed, "dense decay broadcast must complete");
+            r.rounds
         });
-    }
+    });
     group.finish();
 }
 
@@ -160,25 +125,22 @@ fn bench_pooled_vs_fresh(c: &mut Criterion) {
 
 fn bench_dense_cd(c: &mut Criterion) {
     // CD-model complement of `scale_dense_rounds`: `broadcast_cd` pins
-    // collision detection, and at mean degree ~125 the frontier engine
+    // collision detection, and at mean degree ~125 the engine
     // routes nearly every round through the CD word-level dense kernel
     // (merged informed/uninformed event accumulation, busy-channel noise at
-    // every silent listener). Reference runs the same rounds per-edge.
+    // every silent listener).
     let w = BenchWorkload::resolve("broadcast_cd@rgg(100000,0.02)", TOPOLOGY_SEED);
     let mut group = c.benchmark_group("scale_dense_cd");
     group.sample_size(5);
-    for (mode, label) in [(EngineMode::Frontier, "frontier"), (EngineMode::Reference, "reference")]
-    {
-        group.bench_function(format!("{}/{label}", w.name), |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let r = with_default_engine_mode(mode, || w.run_trial(seed));
-                assert!(r.completed, "CD dense broadcast must complete under {label}");
-                r.rounds
-            });
+    group.bench_function(w.name.clone(), |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let r = w.run_trial(seed);
+            assert!(r.completed, "CD dense broadcast must complete");
+            r.rounds
         });
-    }
+    });
     group.finish();
 }
 
@@ -204,7 +166,6 @@ fn bench_million(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_engine_modes,
     bench_coin_samplers,
     bench_dense_rounds,
     bench_pooled_vs_fresh,

@@ -1,8 +1,9 @@
 //! `rn_lint` — a repo-aware determinism & discipline analyzer.
 //!
 //! Every guarantee this reproduction makes — byte-identical result JSON at
-//! any `--threads` value, per-axis seed streams, Frontier ≡ Reference engine
-//! equivalence, and the zero-allocation steady state — is a *discipline*.
+//! any `--threads` value, per-axis seed streams, an engine that matches the
+//! channel specification, and the zero-allocation steady state — is a
+//! *discipline*.
 //! This crate turns those disciplines into deny-by-default static rules over
 //! the workspace source tree, checked as a tier-1 integration test and a CI
 //! job:

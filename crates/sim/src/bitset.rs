@@ -1,6 +1,6 @@
 //! A plain `u64`-word bitset for struct-of-arrays hot paths.
 //!
-//! The engine's frontier mode and the protocol fast paths keep their node
+//! The engine and the protocol fast paths keep their node
 //! sets (transmitters, listeners touched this round, informed nodes, crashed
 //! nodes) as one bit per node instead of a stamp or `Option` per node: at
 //! `n = 10⁶` a membership table is 125 KB — resident in L2 — where the

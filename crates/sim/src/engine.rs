@@ -4,8 +4,6 @@ use crate::protocol::{Protocol, Round, TxBuf};
 use crate::trace::{Event, Trace};
 use rn_graph::{Graph, HybridAdjacency, NodeId};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
-use std::sync::OnceLock;
 
 /// Which interference model the channel follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -16,119 +14,6 @@ pub enum CollisionModel {
     /// A listening node with ≥ 2 transmitting neighbors is told a collision
     /// happened (via [`Protocol::collision`]). Used for ablations only.
     CollisionDetection,
-}
-
-/// Which hot-path implementation the engine steps with.
-///
-/// Both modes implement *identical* channel semantics — same protocol-call
-/// order, same metrics, same trace events, coin-for-coin identical fault
-/// handling — and differ only in the scratch-state layout the per-round
-/// loops touch:
-///
-/// * [`EngineMode::Reference`] keeps the original per-node stamp vectors
-///   (`8`–`24` bytes of scratch per node). It is the executable
-///   specification the frontier path is differentially tested against.
-/// * [`EngineMode::Frontier`] keeps the transmitter / heard / collided /
-///   crashed sets as `u64`-word bitsets (one *bit* per node, cleared
-///   sparsely through the round's touched list), so the listener-marking
-///   loop — the hot path at `10⁵`–`10⁶` nodes — stays in cache where the
-///   stamp vectors thrash it. Permanent crash-stop faults additionally
-///   resolve through an incrementally-advanced crashed bitset instead of a
-///   per-listener `crash_round` vector read.
-///
-/// The default is resolved per construction: a
-/// [`with_default_engine_mode`] scope override wins, then the
-/// `RN_ENGINE_MODE` environment variable (`reference` / `frontier`), then
-/// [`EngineMode::Frontier`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum EngineMode {
-    /// Stamp-vector scratch: the executable specification.
-    Reference,
-    /// Struct-of-arrays bitset scratch: the large-`n` fast path (default).
-    Frontier,
-}
-
-thread_local! {
-    static MODE_OVERRIDE: Cell<Option<EngineMode>> = const { Cell::new(None) };
-}
-
-static ENV_MODE: OnceLock<EngineMode> = OnceLock::new();
-
-impl EngineMode {
-    /// The mode new simulators get when none is passed explicitly: a
-    /// [`with_default_engine_mode`] scope override if one is active on this
-    /// thread, else `RN_ENGINE_MODE` from the environment, else
-    /// [`EngineMode::Frontier`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `RN_ENGINE_MODE` is set to anything other than
-    /// `reference` or `frontier` (case-insensitive).
-    pub fn default_mode() -> EngineMode {
-        if let Some(m) = MODE_OVERRIDE.with(|c| c.get()) {
-            return m;
-        }
-        *ENV_MODE.get_or_init(|| match std::env::var("RN_ENGINE_MODE") {
-            Ok(v) if v.eq_ignore_ascii_case("reference") => EngineMode::Reference,
-            Ok(v) if v.eq_ignore_ascii_case("frontier") => EngineMode::Frontier,
-            Ok(v) => panic!("RN_ENGINE_MODE={v:?} (expected \"reference\" or \"frontier\")"),
-            Err(_) => EngineMode::Frontier,
-        })
-    }
-
-    /// Pins the *process-wide* default to `mode` — the seam for CLI flags
-    /// (`experiments --engine-mode …`), which must take effect on every
-    /// worker thread, where a thread-local [`with_default_engine_mode`]
-    /// scope cannot reach. Wins over `RN_ENGINE_MODE` only if called before
-    /// the first [`EngineMode::default_mode`] resolution; afterwards the
-    /// default is frozen.
-    ///
-    /// # Errors
-    ///
-    /// Returns the already-frozen mode when the process default was
-    /// resolved earlier (a simulator was built, the environment variable
-    /// was read, or a prior call pinned it) to something different —
-    /// callers surface this instead of silently racing.
-    pub fn set_process_default(mode: EngineMode) -> Result<(), EngineMode> {
-        let frozen = *ENV_MODE.get_or_init(|| mode);
-        if frozen == mode {
-            Ok(())
-        } else {
-            Err(frozen)
-        }
-    }
-
-    /// Parses a mode name (`reference` / `frontier`, case-insensitive) —
-    /// the spelling `RN_ENGINE_MODE` and `--engine-mode` accept.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message naming the accepted spellings.
-    pub fn parse_name(s: &str) -> Result<EngineMode, String> {
-        if s.eq_ignore_ascii_case("reference") {
-            Ok(EngineMode::Reference)
-        } else if s.eq_ignore_ascii_case("frontier") {
-            Ok(EngineMode::Frontier)
-        } else {
-            Err(format!("unknown engine mode {s:?} (expected \"reference\" or \"frontier\")"))
-        }
-    }
-}
-
-/// Runs `f` with [`EngineMode::default_mode`] pinned to `mode` on the
-/// current thread — the seam differential tests and benchmarks use to run
-/// the *same* scenario code under both engine implementations without
-/// touching process-global state. Scopes nest; the previous override is
-/// restored when `f` returns or panics.
-pub fn with_default_engine_mode<T>(mode: EngineMode, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<EngineMode>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MODE_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _guard = Restore(MODE_OVERRIDE.with(|c| c.replace(Some(mode))));
-    f()
 }
 
 /// Cumulative channel statistics for a simulator instance.
@@ -177,87 +62,64 @@ pub struct RunStats {
     pub outcome: RunOutcome,
 }
 
-/// Per-round channel scratch, reset implicitly (reference) or sparsely
-/// (frontier) each round. One variant is allocated per simulator, chosen by
-/// its [`EngineMode`] — a million-node frontier simulator carries ~4.4 MB of
-/// scratch (one `u32` plus three bits per node) where the reference layout
-/// carries 24 MB.
+/// Per-round channel scratch: one bit per node for each channel set,
+/// cleared sparsely through the round's touched/active lists — a
+/// million-node simulator carries ~4.4 MB of it (one `u32` plus three bits
+/// per node).
 #[derive(Debug)]
-enum Scratch {
-    /// Stamp-based per-node vectors (stamp = round + 1 avoids clearing).
-    Reference {
-        hear_stamp: Vec<u64>,
-        hear_count: Vec<u32>,
-        hear_from: Vec<u32>,
-        tx_stamp: Vec<u64>,
-    },
-    /// Struct-of-arrays bitsets, cleared sparsely via the touched/active
-    /// lists after every round.
-    Frontier {
-        /// Effective transmitters this round.
-        tx: WordBitset,
-        /// Nodes with ≥ 1 transmitting neighbor this round.
-        heard: WordBitset,
-        /// Nodes with ≥ 2 transmitting neighbors this round.
-        collided: WordBitset,
-        /// Index into the active list of the unique transmitter heard; only
-        /// meaningful where `heard` is set and `collided` is not.
-        hear_from: Vec<u32>,
-        /// Nodes whose crash round has passed (permanent; grows only).
-        crashed: WordBitset,
-        /// `(crash_round, node)` pairs of the installed schedule, ascending
-        /// by round; `crash_cursor` marks how far `crashed` has absorbed.
-        crash_events: Vec<(u64, NodeId)>,
-        crash_cursor: usize,
-    },
+struct Scratch {
+    /// Effective transmitters this round.
+    tx: WordBitset,
+    /// Nodes with ≥ 1 transmitting neighbor this round.
+    heard: WordBitset,
+    /// Nodes with ≥ 2 transmitting neighbors this round.
+    collided: WordBitset,
+    /// Index into the active list of the first transmitter heard; only
+    /// meaningful where `heard` is set.
+    hear_from: Vec<u32>,
+    /// Nodes whose crash round has passed (permanent; grows only).
+    crashed: WordBitset,
+    /// `(crash_round, node)` pairs of the installed schedule, ascending by
+    /// round; `crash_cursor` marks how far `crashed` has absorbed.
+    crash_events: Vec<(u64, NodeId)>,
+    crash_cursor: usize,
 }
 
 impl Scratch {
-    fn new(mode: EngineMode, n: usize) -> Scratch {
-        match mode {
-            EngineMode::Reference => Scratch::Reference {
-                hear_stamp: vec![0; n],
-                hear_count: vec![0; n],
-                hear_from: vec![0; n],
-                tx_stamp: vec![0; n],
-            },
-            EngineMode::Frontier => Scratch::Frontier {
-                tx: WordBitset::new(n),
-                heard: WordBitset::new(n),
-                collided: WordBitset::new(n),
-                hear_from: vec![0; n],
-                crashed: WordBitset::new(n),
-                crash_events: Vec::new(),
-                crash_cursor: 0,
-            },
+    fn new(n: usize) -> Scratch {
+        Scratch {
+            tx: WordBitset::new(n),
+            heard: WordBitset::new(n),
+            collided: WordBitset::new(n),
+            hear_from: vec![0; n],
+            crashed: WordBitset::new(n),
+            crash_events: Vec::new(),
+            crash_cursor: 0,
         }
     }
 
-    /// (Re)derives the frontier crash queue from `faults`. The crashed
-    /// bitset restarts empty; the step loop re-absorbs events up to the
-    /// current round on its next call, so installing a schedule mid-run
-    /// lands on exactly the same state lazy queries would give.
+    /// (Re)derives the crash queue from `faults`. The crashed bitset
+    /// restarts empty; the step loop re-absorbs events up to the current
+    /// round on its next call, so installing a schedule mid-run lands on
+    /// exactly the same state lazy queries would give.
     fn rebuild_crash_events(&mut self, faults: Option<&FaultSchedule>, n: usize) {
-        let Scratch::Frontier { crashed, crash_events, crash_cursor, .. } = self else {
-            return;
-        };
-        crashed.clear_all();
-        crash_events.clear();
-        *crash_cursor = 0;
+        self.crashed.clear_all();
+        self.crash_events.clear();
+        self.crash_cursor = 0;
         if let Some(f) = faults {
             for v in 0..n as NodeId {
                 let r = f.crash_round(v);
                 if r < u64::MAX {
-                    crash_events.push((r, v));
+                    self.crash_events.push((r, v));
                 }
             }
-            crash_events.sort_unstable();
+            self.crash_events.sort_unstable();
         }
     }
 }
 
 /// Scratch for the degree-sum–triggered dense-round kernel of
-/// [`Simulator::step_frontier`], built lazily on the first round whose
+/// [`Simulator::step_at`], built lazily on the first round whose
 /// transmitter degree sum rivals `n`. Rounds below the trigger never touch
 /// it, so sparse workloads pay nothing.
 #[derive(Debug)]
@@ -265,8 +127,8 @@ struct DenseScratch {
     /// Hybrid CSR/bitmap adjacency cache (see [`HybridAdjacency`]).
     adj: HybridAdjacency,
     /// `(first-toucher active index, listener, is_collision)` events of the
-    /// round, ordered before callback emission to reproduce the reference
-    /// order (active index asc, then listener id asc).
+    /// round, ordered before callback emission to reproduce the first-touch
+    /// callback order (active index asc, then listener id asc).
     events: Vec<(u32, NodeId, bool)>,
     /// Counting-sort bucket cursors, one per active transmitter (+1 for the
     /// exclusive prefix sum). Under CD nearly every listener emits an event,
@@ -279,8 +141,8 @@ struct DenseScratch {
 }
 
 /// Reusable engine state: everything a [`Simulator`] would otherwise
-/// allocate per construction (channel bitsets or stamp vectors, the
-/// dense-kernel adjacency cache, the touched/active lists), hoisted into a
+/// allocate per construction (channel bitsets, the dense-kernel adjacency
+/// cache, the touched/active lists), hoisted into a
 /// value that survives across trials.
 ///
 /// [`Simulator::reuse`] adopts a pool's `SimScratch` for one trial and
@@ -302,10 +164,10 @@ pub struct SimScratch {
 
 impl SimScratch {
     /// An empty pool slot; the first adopting [`Simulator::reuse`] sizes it
-    /// for its graph and engine mode.
+    /// for its graph.
     pub fn new() -> SimScratch {
         SimScratch {
-            scratch: Scratch::new(EngineMode::Frontier, 0),
+            scratch: Scratch::new(0),
             dense: None,
             dense_key: (0, 0, 0),
             touched: Vec::new(),
@@ -313,55 +175,32 @@ impl SimScratch {
         }
     }
 
-    /// Readies the scratch for a trial of `mode` over `graph`: reuses every
-    /// buffer whose capacity still fits, clears sparsely where the between-
-    /// rounds invariant guarantees emptiness, and reserves the worst-case
-    /// bounds (`n` touched listeners, `n` active transmitters) so steady-
-    /// state rounds can never trigger mid-trial growth.
-    fn prepare(&mut self, mode: EngineMode, graph: &Graph) {
+    /// Readies the scratch for a trial over `graph`: reuses every buffer
+    /// whose capacity still fits, clears sparsely where the between-rounds
+    /// invariant guarantees emptiness, and reserves the worst-case bounds
+    /// (`n` touched listeners, `n` active transmitters) so steady-state
+    /// rounds can never trigger mid-trial growth.
+    fn prepare(&mut self, graph: &Graph) {
         let n = graph.n();
         let key = (graph as *const Graph as usize, n, graph.m());
         if self.dense_key != key {
             self.dense = None;
             self.dense_key = key;
         }
-        match (&mut self.scratch, mode) {
-            (
-                Scratch::Reference { hear_stamp, hear_count, hear_from, tx_stamp },
-                EngineMode::Reference,
-            ) => {
-                // The protocol clock restarts each trial, so stale stamps
-                // from a previous trial could alias fresh ones: zero both
-                // stamp vectors (hear_count/hear_from are only read behind a
-                // matching hear_stamp, so their stale contents are inert).
-                hear_stamp.clear();
-                hear_stamp.resize(n, 0);
-                tx_stamp.clear();
-                tx_stamp.resize(n, 0);
-                hear_count.resize(n, 0);
-                hear_from.resize(n, 0);
-            }
-            (
-                Scratch::Frontier { tx, heard, collided, hear_from, crashed, .. },
-                EngineMode::Frontier,
-            ) => {
-                // tx/heard/collided are all-clear between rounds; only a
-                // capacity change forces a re-zero. The crash bitset/queue
-                // are rebuilt by `rebuild_crash_events` in every adopting
-                // constructor.
-                tx.reset_capacity(n);
-                heard.reset_capacity(n);
-                collided.reset_capacity(n);
-                crashed.reset_capacity(n);
-                debug_assert!(tx.words().iter().all(|&w| w == 0), "tx bits leak across trials");
-                debug_assert!(heard.words().iter().all(|&w| w == 0), "heard bits leak");
-                debug_assert!(collided.words().iter().all(|&w| w == 0), "collided bits leak");
-                if hear_from.len() != n {
-                    hear_from.clear();
-                    hear_from.resize(n, 0);
-                }
-            }
-            _ => self.scratch = Scratch::new(mode, n),
+        // tx/heard/collided are all-clear between rounds; only a capacity
+        // change forces a re-zero. The crash bitset/queue are rebuilt by
+        // `rebuild_crash_events` in every adopting constructor.
+        let Scratch { tx, heard, collided, hear_from, crashed, .. } = &mut self.scratch;
+        tx.reset_capacity(n);
+        heard.reset_capacity(n);
+        collided.reset_capacity(n);
+        crashed.reset_capacity(n);
+        debug_assert!(tx.words().iter().all(|&w| w == 0), "tx bits leak across trials");
+        debug_assert!(heard.words().iter().all(|&w| w == 0), "heard bits leak");
+        debug_assert!(collided.words().iter().all(|&w| w == 0), "collided bits leak");
+        if hear_from.len() != n {
+            hear_from.clear();
+            hear_from.resize(n, 0);
         }
         self.touched.clear();
         self.touched.reserve(n);
@@ -401,87 +240,52 @@ impl Store<'_> {
 }
 
 /// A read-only view of one finished round's channel outcome, passed to
-/// [`Protocol::round_end`].
-///
-/// The view abstracts over the engine's two scratch layouts — queries
-/// answer from stamp vectors under [`EngineMode::Reference`] and from
-/// `u64`-word bitsets under [`EngineMode::Frontier`], with identical
-/// results (the differential tests compare them node for node).
+/// [`Protocol::round_end`]; queries answer from the engine's `u64`-word
+/// bitsets.
 ///
 /// [`RoundView::frontier`] is the round's *unordered* set of nodes that
 /// heard channel energy; protocols keeping struct-of-arrays state walk it
 /// to advance bookkeeping in time proportional to activity instead of `n`.
 pub struct RoundView<'a> {
-    inner: ViewInner<'a>,
+    heard: &'a WordBitset,
+    collided: &'a WordBitset,
+    tx: &'a WordBitset,
+    crashed: &'a WordBitset,
     frontier: &'a [NodeId],
     faults: Option<&'a FaultSchedule>,
     round: Round,
 }
 
-enum ViewInner<'a> {
-    Reference {
-        hear_stamp: &'a [u64],
-        hear_count: &'a [u32],
-        tx_stamp: &'a [u64],
-        stamp: u64,
-    },
-    Frontier {
-        heard: &'a WordBitset,
-        collided: &'a WordBitset,
-        tx: &'a WordBitset,
-        crashed: &'a WordBitset,
-    },
-}
-
 impl RoundView<'_> {
     /// The nodes that heard channel energy this round, as an **unordered**
-    /// set (the traversal order differs between engine modes and kernels;
-    /// sort before relying on order).
+    /// set (sparse rounds list them in first-touch order, dense-kernel
+    /// rounds in ascending id; sort before relying on order).
     pub fn frontier(&self) -> &[NodeId] {
         self.frontier
     }
 
     /// Whether `node` had at least one transmitting neighbor this round.
     pub fn heard(&self, node: NodeId) -> bool {
-        let vi = node as usize;
-        match &self.inner {
-            ViewInner::Reference { hear_stamp, stamp, .. } => hear_stamp[vi] == *stamp,
-            ViewInner::Frontier { heard, .. } => heard.contains(vi),
-        }
+        self.heard.contains(node as usize)
     }
 
     /// Whether `node` had two or more transmitting neighbors this round
     /// (implies [`RoundView::heard`]).
     pub fn collided(&self, node: NodeId) -> bool {
-        let vi = node as usize;
-        match &self.inner {
-            ViewInner::Reference { hear_stamp, hear_count, stamp, .. } => {
-                hear_stamp[vi] == *stamp && hear_count[vi] > 1
-            }
-            ViewInner::Frontier { collided, .. } => collided.contains(vi),
-        }
+        self.collided.contains(node as usize)
     }
 
     /// Whether `node` effectively transmitted this round (protocol
     /// transmissions surviving the fault model, plus jammer noise).
     pub fn transmitted(&self, node: NodeId) -> bool {
-        let vi = node as usize;
-        match &self.inner {
-            ViewInner::Reference { tx_stamp, stamp, .. } => tx_stamp[vi] == *stamp,
-            ViewInner::Frontier { tx, .. } => tx.contains(vi),
-        }
+        self.tx.contains(node as usize)
     }
 
     /// Whether `node` was down this round (crashed or dropped by the fault
     /// schedule) — down nodes heard nothing regardless of the bits above.
     pub fn down(&self, node: NodeId) -> bool {
-        match &self.inner {
-            ViewInner::Reference { .. } => self.faults.is_some_and(|f| f.is_down(self.round, node)),
-            ViewInner::Frontier { crashed, .. } => {
-                crashed.contains(node as usize)
-                    || self.faults.is_some_and(|f| f.is_dropped(self.round, node))
-            }
-        }
+        self.crashed.contains(node as usize)
+            || self.faults.is_some_and(|f| f.is_dropped(self.round, node))
     }
 }
 
@@ -490,12 +294,10 @@ impl RoundView<'_> {
 ///
 /// Per-round cost is proportional to the degree sum of the transmitting
 /// nodes, not to `n` — protocols with sparse activity (decay frontiers,
-/// schedule waves) simulate cheaply even on large networks. The scratch the
-/// per-round loops touch comes in two layouts (see [`EngineMode`]): the
-/// default [`EngineMode::Frontier`] keeps channel sets as one-bit-per-node
-/// bitsets so `10⁵`–`10⁶`-node campaigns stay cache-resident, and the
-/// [`EngineMode::Reference`] stamp path is retained as the executable
-/// specification the fast path is differentially tested against.
+/// schedule waves) simulate cheaply even on large networks. Channel sets
+/// are one-bit-per-node bitsets, so `10⁵`–`10⁶`-node campaigns stay
+/// cache-resident. The executable specification the engine is tested
+/// against is the brute-force model behind [`crate::testing::Audit`].
 ///
 /// The engine optionally runs under a [`FaultSchedule`] (jammers + per-round
 /// dropout, see [`crate::faults`]): a schedule passed explicitly at
@@ -521,7 +323,7 @@ const NOISE_TAG: u32 = u32::MAX;
 
 impl<'g> Simulator<'g> {
     /// Creates an engine over `graph` with the given interference `model`,
-    /// running fault-free under [`EngineMode::default_mode`].
+    /// running fault-free.
     ///
     /// `seed` is recorded for reproducibility metadata (protocols own their
     /// actual randomness; see [`crate::rng`] for seed derivation helpers).
@@ -545,27 +347,8 @@ impl<'g> Simulator<'g> {
         seed: u64,
         faults: Option<FaultSchedule>,
     ) -> Simulator<'g> {
-        Simulator::with_mode(graph, model, seed, faults, EngineMode::default_mode())
-    }
-
-    /// The fully explicit constructor: schedule *and* engine mode.
-    /// Differential tests and benchmarks pin the mode here; everything else
-    /// goes through [`Simulator::new`] / [`Simulator::with_faults`] and the
-    /// process default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule was resolved for a different node count than
-    /// `graph` has.
-    pub fn with_mode(
-        graph: &'g Graph,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<FaultSchedule>,
-        mode: EngineMode,
-    ) -> Simulator<'g> {
         let mut scratch = Box::new(SimScratch::new());
-        scratch.prepare(mode, graph);
+        scratch.prepare(graph);
         Simulator::from_store(Store::Owned(scratch), graph, model, seed, faults)
     }
 
@@ -586,25 +369,7 @@ impl<'g> Simulator<'g> {
         seed: u64,
         faults: Option<FaultSchedule>,
     ) -> Simulator<'g> {
-        Simulator::reuse_with_mode(scratch, graph, model, seed, faults, EngineMode::default_mode())
-    }
-
-    /// [`Simulator::reuse`] with an explicit engine mode (differential tests
-    /// pin the mode here).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule was resolved for a different node count than
-    /// `graph` has.
-    pub fn reuse_with_mode(
-        scratch: &'g mut SimScratch,
-        graph: &'g Graph,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<FaultSchedule>,
-        mode: EngineMode,
-    ) -> Simulator<'g> {
-        scratch.prepare(mode, graph);
+        scratch.prepare(graph);
         Simulator::from_store(Store::Pooled(scratch), graph, model, seed, faults)
     }
 
@@ -670,14 +435,6 @@ impl<'g> Simulator<'g> {
     /// The interference model in force.
     pub fn model(&self) -> CollisionModel {
         self.model
-    }
-
-    /// The hot-path implementation this simulator steps with.
-    pub fn mode(&self) -> EngineMode {
-        match self.store.get().scratch {
-            Scratch::Reference { .. } => EngineMode::Reference,
-            Scratch::Frontier { .. } => EngineMode::Frontier,
-        }
     }
 
     /// Master seed recorded at construction.
@@ -789,164 +546,14 @@ impl<'g> Simulator<'g> {
     }
 
     /// One round of `protocol` with an explicit protocol-local round number,
-    /// reusing a caller-provided buffer.
-    fn step_at<P: Protocol>(&mut self, protocol: &mut P, tx: &mut TxBuf<P::Msg>, local: Round) {
-        match self.store.get().scratch {
-            Scratch::Reference { .. } => self.step_reference(protocol, tx, local),
-            Scratch::Frontier { .. } => self.step_frontier(protocol, tx, local),
-        }
-    }
-
-    /// The stamp-vector step: the executable specification of one channel
-    /// round. [`Simulator::step_frontier`] must match it call for call.
-    fn step_reference<P: Protocol>(
-        &mut self,
-        protocol: &mut P,
-        tx: &mut TxBuf<P::Msg>,
-        local: Round,
-    ) {
-        tx.clear();
-        protocol.transmit(local, tx);
-        let stamp = self.round + 1;
-        let global = self.round;
-        // Move the schedule and the active-transmitter scratch out of `self`
-        // for the round, so they can be read alongside mutable scratch state.
-        let faults = self.faults.take();
-        let st = self.store.get_mut();
-        let mut active = std::mem::take(&mut st.active_tx);
-        let touched = &mut st.touched;
-        let Scratch::Reference { hear_stamp, hear_count, hear_from, tx_stamp } = &mut st.scratch
-        else {
-            unreachable!("reference step dispatched with frontier scratch");
-        };
-
-        // Validate and mark protocol transmitters. Double transmission is a
-        // protocol bug whether or not the fault model would suppress it.
-        for &(u, _) in tx.entries() {
-            let ui = u as usize;
-            assert!(ui < self.graph.n(), "protocol transmitted from invalid node {u}");
-            assert!(
-                tx_stamp[ui] != stamp,
-                "protocol bug: node {u} transmitted twice in round {}",
-                self.round
-            );
-            tx_stamp[ui] = stamp;
-        }
-
-        // Effective transmitter set: protocol transmissions that survive the
-        // fault model (jammers never act for the protocol; down nodes are
-        // silent), plus jammer noise bursts.
-        active.clear();
-        for (idx, &(u, _)) in tx.entries().iter().enumerate() {
-            if let Some(f) = &faults {
-                if f.suppresses_tx(global, u) {
-                    tx_stamp[u as usize] = 0; // physically silent: may listen
-                    continue;
-                }
-            }
-            active.push((u, idx as u32));
-            if let Some(t) = &mut self.trace {
-                t.push(global, Event::Transmit { node: u });
-            }
-        }
-        if let Some(f) = &faults {
-            for &j in f.jammer_ids() {
-                if f.jam_fires(global, j) {
-                    tx_stamp[j as usize] = stamp;
-                    active.push((j, NOISE_TAG));
-                    if let Some(t) = &mut self.trace {
-                        t.push(global, Event::Transmit { node: j });
-                    }
-                }
-            }
-        }
-
-        // Count what every potential listener hears.
-        touched.clear();
-        for (ai, &(u, _)) in active.iter().enumerate() {
-            for &v in self.graph.neighbors(u) {
-                let vi = v as usize;
-                if hear_stamp[vi] != stamp {
-                    hear_stamp[vi] = stamp;
-                    hear_count[vi] = 1;
-                    hear_from[vi] = ai as u32;
-                    touched.push(v);
-                } else {
-                    hear_count[vi] += 1;
-                }
-            }
-        }
-
-        // Deliver / report collisions to listeners.
-        for i in 0..touched.len() {
-            let v = touched[i];
-            let vi = v as usize;
-            if tx_stamp[vi] == stamp {
-                continue; // transmitters cannot listen
-            }
-            if let Some(f) = &faults {
-                if f.is_down(global, v) {
-                    continue; // down nodes hear nothing
-                }
-            }
-            if hear_count[vi] == 1 {
-                let (_, tag) = active[hear_from[vi] as usize];
-                if tag == NOISE_TAG {
-                    continue; // a uniquely heard noise burst is garbage
-                }
-                let (from, msg) = &tx.entries()[tag as usize];
-                protocol.deliver(local, v, *from, msg);
-                self.metrics.deliveries += 1;
-                if let Some(t) = &mut self.trace {
-                    t.push(global, Event::Receive { node: v, from: *from });
-                }
-            } else {
-                self.metrics.collisions += 1;
-                if let Some(t) = &mut self.trace {
-                    t.push(global, Event::Collision { node: v });
-                }
-                if self.model == CollisionModel::CollisionDetection {
-                    protocol.collision(local, v);
-                }
-            }
-        }
-
-        protocol.round_end(
-            local,
-            &RoundView {
-                inner: ViewInner::Reference {
-                    hear_stamp: hear_stamp.as_slice(),
-                    hear_count: hear_count.as_slice(),
-                    tx_stamp: tx_stamp.as_slice(),
-                    stamp,
-                },
-                frontier: touched.as_slice(),
-                faults: faults.as_ref(),
-                round: global,
-            },
-        );
-
-        self.metrics.transmissions += active.len() as u64;
-        self.metrics.rounds += 1;
-        self.round += 1;
-        self.store.get_mut().active_tx = active;
-        self.faults = faults;
-    }
-
-    /// The struct-of-arrays bitset step. Semantically identical to
-    /// [`Simulator::step_reference`] — same protocol-call order, same
-    /// metrics, same trace — with channel membership kept as one bit per
-    /// node and cleared sparsely through the active/touched lists, so a
-    /// round's memory traffic is proportional to activity and the
+    /// reusing a caller-provided buffer. Channel membership is kept as one
+    /// bit per node and cleared sparsely through the active/touched lists,
+    /// so a round's memory traffic is proportional to activity and the
     /// membership tables stay cache-resident at `10⁶` nodes. Rounds whose
-    /// transmitter degree sum reaches `n` additionally dispatch to a
-    /// word-level dense kernel over a cached [`HybridAdjacency`].
-    fn step_frontier<P: Protocol>(
-        &mut self,
-        protocol: &mut P,
-        tx: &mut TxBuf<P::Msg>,
-        local: Round,
-    ) {
+    /// transmitter degree sum reaches `n` dispatch to a word-level dense
+    /// kernel over a cached [`HybridAdjacency`]. Either way the callbacks
+    /// follow the first-touch order [`crate::testing::Audit`] specifies.
+    fn step_at<P: Protocol>(&mut self, protocol: &mut P, tx: &mut TxBuf<P::Msg>, local: Round) {
         tx.clear();
         protocol.transmit(local, tx);
         let global = self.round;
@@ -954,7 +561,7 @@ impl<'g> Simulator<'g> {
         let st = self.store.get_mut();
         let mut active = std::mem::take(&mut st.active_tx);
         let SimScratch { scratch, dense, touched, .. } = st;
-        let Scratch::Frontier {
+        let Scratch {
             tx: tx_bits,
             heard,
             collided,
@@ -962,10 +569,7 @@ impl<'g> Simulator<'g> {
             crashed,
             crash_events,
             crash_cursor,
-        } = scratch
-        else {
-            unreachable!("frontier step dispatched with reference scratch");
-        };
+        } = scratch;
 
         // Absorb crash-stop events whose round has arrived: after this loop
         // `crashed` holds exactly the nodes with `crash_round <= global`, so
@@ -992,7 +596,9 @@ impl<'g> Simulator<'g> {
             );
         }
 
-        // Effective transmitter set, exactly as in the reference path.
+        // Effective transmitter set: protocol transmissions that survive the
+        // fault model (jammers never act for the protocol; down nodes are
+        // silent), plus jammer noise bursts.
         active.clear();
         for (idx, &(u, _)) in tx.entries().iter().enumerate() {
             if let Some(f) = &faults {
@@ -1021,7 +627,7 @@ impl<'g> Simulator<'g> {
         // Dense-round dispatch: when the transmitters' degree sum rivals
         // `n`, per-edge scatter writes lose to whole-word OR/AND
         // accumulation over adjacency rows. The word kernel reproduces the
-        // reference callback order — for deliveries *and* CD collision
+        // first-touch callback order — for deliveries *and* CD collision
         // notifications — by recording each listener's first-toucher active
         // index during accumulation and sorting the merged event list
         // (proof in the kernel comments). Only traced rounds keep the
@@ -1048,7 +654,7 @@ impl<'g> Simulator<'g> {
             // frontier size, not the degree sum) recording which active
             // index reached the listener first. For uniquely heard
             // listeners that index *is* the transmitter; for collided
-            // listeners it is the reference path's touch order key.
+            // listeners it is the first-touch order key.
             {
                 let hw = heard.words_mut();
                 let cw = collided.words_mut();
@@ -1084,11 +690,11 @@ impl<'g> Simulator<'g> {
             // Sweep the heard words in ascending node order: rebuild the
             // touched list, then emit one event per listening hearer —
             // `(first-toucher active index, listener, is_collision)` —
-            // sorted before the callback loop. In the reference path a
+            // sorted before the callback loop. On the sparse path a
             // listener enters the touched list when its first toucher's
             // adjacency is scanned (active index asc, neighbor id asc
             // within it), and callbacks replay the touched list, so the
-            // sorted order reproduces the reference interleaving of
+            // sorted order reproduces the sparse interleaving of
             // deliveries and CD collision notifications exactly. Under
             // nocd, collisions carry no callback and skip the event list.
             dense.events.clear();
@@ -1216,12 +822,10 @@ impl<'g> Simulator<'g> {
         protocol.round_end(
             local,
             &RoundView {
-                inner: ViewInner::Frontier {
-                    heard: &*heard,
-                    collided: &*collided,
-                    tx: &*tx_bits,
-                    crashed: &*crashed,
-                },
+                heard: &*heard,
+                collided: &*collided,
+                tx: &*tx_bits,
+                crashed: &*crashed,
                 frontier: touched.as_slice(),
                 faults: faults.as_ref(),
                 round: global,
@@ -1229,7 +833,7 @@ impl<'g> Simulator<'g> {
         );
 
         // Debug-build post-round coherence checks, compiled out in release
-        // (scale-smoke timings untouched). The frontier state's contract:
+        // (scale-smoke timings untouched). The channel state's contract:
         // a collision implies energy was heard (`collided ⊆ heard`
         // word-wise), and `touched` enumerates the heard set exactly — the
         // sparse clears below rely on the latter to restore the all-zero
@@ -1281,7 +885,7 @@ impl<'g> Simulator<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{OneShot, Silence};
+    use crate::testing::{Audit, NaiveFlood, OneShot, Silence};
     use rn_graph::generators;
 
     #[test]
@@ -1356,21 +960,6 @@ mod tests {
     fn double_transmission_is_a_protocol_bug() {
         let g = generators::path(2);
         let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-        let mut p = OneShot::new(2, vec![(0, 1u64), (0, 2u64)]);
-        sim.run(&mut p, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "transmitted twice")]
-    fn double_transmission_is_a_protocol_bug_in_reference_mode_too() {
-        let g = generators::path(2);
-        let mut sim = Simulator::with_mode(
-            &g,
-            CollisionModel::NoCollisionDetection,
-            1,
-            None,
-            EngineMode::Reference,
-        );
         let mut p = OneShot::new(2, vec![(0, 1u64), (0, 2u64)]);
         sim.run(&mut p, 1);
     }
@@ -1517,100 +1106,45 @@ mod tests {
         assert!(matches!(events[0].1, Event::Transmit { node: 0 }));
     }
 
-    #[test]
-    fn default_mode_is_frontier_and_override_scopes_nest() {
-        let g = generators::path(2);
-        assert_eq!(
-            Simulator::new(&g, CollisionModel::NoCollisionDetection, 1).mode(),
-            EngineMode::Frontier
-        );
-        with_default_engine_mode(EngineMode::Reference, || {
-            let sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-            assert_eq!(sim.mode(), EngineMode::Reference);
-            with_default_engine_mode(EngineMode::Frontier, || {
-                let sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-                assert_eq!(sim.mode(), EngineMode::Frontier);
-            });
-            let sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-            assert_eq!(sim.mode(), EngineMode::Reference, "inner scope restored");
-        });
-        let sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-        assert_eq!(sim.mode(), EngineMode::Frontier, "outer scope restored");
+    /// Runs a flood under [`Audit`] — which panics on the first callback,
+    /// callback order, view bit or frontier that departs from the channel
+    /// definition — and returns the run stats and the informed count.
+    fn audited_flood(
+        sim: &mut Simulator<'_>,
+        faults: Option<&FaultSchedule>,
+        rounds: u64,
+    ) -> (RunStats, usize) {
+        let g = sim.graph;
+        let mut p =
+            Audit::new(NaiveFlood::new(g.n(), 0), g, sim.model(), faults).starting_at(sim.round());
+        let stats = sim.run(&mut p, rounds);
+        assert_eq!(stats.metrics, p.metrics(), "engine metrics diverge from the definition");
+        assert_eq!(p.metrics().rounds, rounds, "round_end fires every round");
+        p.check_last_touched(sim.last_touched());
+        (stats, p.inner().informed_count())
     }
 
-    #[test]
-    fn process_default_setter_freezes_and_names_parse() {
-        // The tests run with RN_ENGINE_MODE unset, so the process default
-        // resolves to Frontier (here or in whichever test ran first);
-        // re-pinning the same mode is fine, contradicting it reports the
-        // frozen value instead of racing.
-        assert_eq!(EngineMode::default_mode(), EngineMode::Frontier);
-        assert_eq!(EngineMode::set_process_default(EngineMode::Frontier), Ok(()));
-        assert_eq!(
-            EngineMode::set_process_default(EngineMode::Reference),
-            Err(EngineMode::Frontier)
-        );
-        assert_eq!(EngineMode::parse_name("reference"), Ok(EngineMode::Reference));
-        assert_eq!(EngineMode::parse_name("Frontier"), Ok(EngineMode::Frontier));
-        assert!(EngineMode::parse_name("fast").is_err());
-    }
-
-    /// Wraps a protocol and logs every engine callback in order — the
-    /// differential tests compare these logs, which pins not just the
-    /// totals but the exact sequence of protocol calls both modes make.
-    struct Recorder<P> {
-        inner: P,
-        log: Vec<(Round, &'static str, NodeId, NodeId)>,
-    }
-
-    impl<P: Protocol<Msg = u64>> Protocol for Recorder<P> {
-        type Msg = u64;
-
-        fn transmit(&mut self, round: Round, tx: &mut TxBuf<u64>) {
-            self.inner.transmit(round, tx);
-        }
-
-        fn deliver(&mut self, round: Round, node: NodeId, from: NodeId, msg: &u64) {
-            self.log.push((round, "deliver", node, from));
-            self.inner.deliver(round, node, from, msg);
-        }
-
-        fn collision(&mut self, round: Round, node: NodeId) {
-            self.log.push((round, "collision", node, 0));
-            self.inner.collision(round, node);
-        }
-    }
-
-    /// Everything observable from one trial: run stats, the full callback
-    /// log, and the final informed count.
-    type FloodObservation = (RunStats, Vec<(Round, &'static str, NodeId, NodeId)>, usize);
-
-    /// Runs one flood trial under the given mode and returns everything
-    /// observable: run stats plus the full callback log.
+    /// [`audited_flood`] on a fresh simulator.
     fn flood_trial(
-        mode: EngineMode,
-        g: &rn_graph::Graph,
+        g: &Graph,
         model: CollisionModel,
         faults: Option<FaultSchedule>,
         seed: u64,
         rounds: u64,
-    ) -> FloodObservation {
-        let mut sim = Simulator::with_mode(g, model, seed, faults, mode);
-        let mut p = Recorder { inner: crate::testing::NaiveFlood::new(g.n(), 0), log: Vec::new() };
-        let stats = sim.run(&mut p, rounds);
-        (stats, p.log, p.inner.informed_count())
+    ) -> (RunStats, usize) {
+        let mut sim = Simulator::with_faults(g, model, seed, faults.clone());
+        audited_flood(&mut sim, faults.as_ref(), rounds)
     }
 
     #[test]
     fn frontier_matches_reference_exactly_across_models_and_faults() {
-        // The frontier path must be byte-identical to the reference path:
-        // same stats AND the same per-node delivery log (which pins the
-        // protocol-call order, not just the totals). Swept over topologies,
-        // both collision models, and every fault axis.
-        // `complete(8)` / `complete(40)` floods cross the sparse↔dense
-        // dispatch boundary mid-run (round 0 is below the degree-sum
-        // trigger, the all-informed rounds are far above it), so this sweep
-        // also pins the dense kernel against the reference path.
+        // The engine must match the definitional model callback for
+        // callback (which pins the protocol-call order, not just the
+        // totals). Swept over topologies, both collision models, and every
+        // fault axis. `complete(8)` / `complete(40)` floods cross the
+        // sparse↔dense dispatch boundary mid-run (round 0 is below the
+        // degree-sum trigger, the all-informed rounds are far above it), so
+        // this sweep also pins the dense kernel.
         let graphs = [
             generators::path(16),
             generators::star(12),
@@ -1630,11 +1164,7 @@ mod tests {
             {
                 for plan in &plans {
                     for seed in 0..4u64 {
-                        let faults = plan.map(|mk| mk(g.n(), seed + 31));
-                        let a =
-                            flood_trial(EngineMode::Reference, g, model, faults.clone(), seed, 48);
-                        let b = flood_trial(EngineMode::Frontier, g, model, faults, seed, 48);
-                        assert_eq!(a, b, "mode divergence: n={} {model:?} seed={seed}", g.n());
+                        flood_trial(g, model, plan.map(|mk| mk(g.n(), seed + 31)), seed, 48);
                     }
                 }
             }
@@ -1645,54 +1175,27 @@ mod tests {
     fn dense_kernel_engages_and_matches_reference() {
         // A flood on complete(64): round 0 has one transmitter (degree sum
         // 63 < 64 — sparse), round 1 has 63 (degree sum ≫ n — dense). The
-        // frontier run must both *use* the dense kernel (the scratch is
-        // built lazily, so its existence proves dispatch happened) and stay
-        // identical to the reference engine.
+        // run must both *use* the dense kernel (the scratch is built
+        // lazily, so its existence proves dispatch happened) and pass the
+        // audit.
         let g = generators::complete(64);
-        let a = flood_trial(
-            EngineMode::Reference,
-            &g,
-            CollisionModel::NoCollisionDetection,
-            None,
-            1,
-            16,
-        );
-        let mut sim = Simulator::with_mode(
-            &g,
-            CollisionModel::NoCollisionDetection,
-            1,
-            None,
-            EngineMode::Frontier,
-        );
-        let mut p = Recorder { inner: crate::testing::NaiveFlood::new(g.n(), 0), log: Vec::new() };
-        let stats = sim.run(&mut p, 16);
+        let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
+        audited_flood(&mut sim, None, 16);
         assert!(sim.store.get().dense.is_some(), "degree-sum trigger must engage the dense kernel");
-        assert_eq!(a, (stats, p.log, p.inner.informed_count()));
     }
 
     #[test]
     fn dense_kernel_engages_under_cd_and_matches_reference() {
-        // Since the CD extension, dense rounds cover both collision models:
-        // the kernel surfaces collision notifications through the sorted
-        // event list in the reference callback order. A flood on
-        // complete(64) under CD must engage the kernel *and* replay the
-        // reference log byte for byte (deliver/collision interleaving
-        // included).
+        // Dense rounds cover both collision models: the kernel surfaces
+        // collision notifications through the sorted event list in
+        // first-touch order. A flood on complete(64) under CD must engage
+        // the kernel *and* pass the audit, deliver/collision interleaving
+        // included.
         let g = generators::complete(64);
-        let a =
-            flood_trial(EngineMode::Reference, &g, CollisionModel::CollisionDetection, None, 1, 16);
-        let mut sim = Simulator::with_mode(
-            &g,
-            CollisionModel::CollisionDetection,
-            1,
-            None,
-            EngineMode::Frontier,
-        );
-        let mut p = Recorder { inner: crate::testing::NaiveFlood::new(g.n(), 0), log: Vec::new() };
-        let stats = sim.run(&mut p, 16);
+        let mut sim = Simulator::new(&g, CollisionModel::CollisionDetection, 1);
+        let (stats, _) = audited_flood(&mut sim, None, 16);
         assert!(sim.store.get().dense.is_some(), "CD rounds engage the dense kernel");
-        assert!(p.log.iter().any(|&(_, kind, _, _)| kind == "collision"), "CD callbacks fired");
-        assert_eq!(a, (stats, p.log, p.inner.informed_count()));
+        assert!(stats.metrics.collisions > 0, "CD callbacks fired");
     }
 
     #[test]
@@ -1700,92 +1203,41 @@ mod tests {
         // Traced rounds keep the per-edge path: their event interleaving is
         // the specification the trace records.
         let g = generators::complete(64);
-        let mut sim = Simulator::with_mode(
-            &g,
-            CollisionModel::NoCollisionDetection,
-            1,
-            None,
-            EngineMode::Frontier,
-        );
+        let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
         sim.enable_trace(64);
-        let mut p = crate::testing::NaiveFlood::new(g.n(), 0);
+        let mut p = NaiveFlood::new(g.n(), 0);
         sim.run(&mut p, 16);
         assert!(sim.store.get().dense.is_none(), "traced rounds stay on the sparse path");
     }
 
     #[test]
     fn reused_scratch_replays_trials_exactly() {
-        // A pooled trial must be byte-identical to a fresh one — stats,
-        // callback log, and informed count — and the scratch must survive
-        // graph switches, fault schedules, model changes, and engine-mode
-        // changes between trials.
+        // A pooled trial must pass the audit and be identical to a fresh
+        // one — stats and informed count — and the scratch must survive
+        // graph switches, fault schedules and model changes between trials.
         let graphs = [generators::path(16), generators::complete(40), generators::star(12)];
         let mut scratch = SimScratch::new();
-        for mode in [EngineMode::Frontier, EngineMode::Reference] {
-            for g in &graphs {
-                for model in
-                    [CollisionModel::NoCollisionDetection, CollisionModel::CollisionDetection]
-                {
-                    for seed in 0..3u64 {
-                        let faults = (seed == 2)
-                            .then(|| FaultSchedule::new(g.n(), vec![0], 0.4, 0.2, 0.05, seed));
-                        let fresh = flood_trial(mode, g, model, faults.clone(), seed, 24);
-                        let mut sim =
-                            Simulator::reuse_with_mode(&mut scratch, g, model, seed, faults, mode);
-                        let mut p = Recorder {
-                            inner: crate::testing::NaiveFlood::new(g.n(), 0),
-                            log: Vec::new(),
-                        };
-                        let stats = sim.run(&mut p, 24);
-                        let pooled = (stats, p.log, p.inner.informed_count());
-                        assert_eq!(fresh, pooled, "pooled divergence: n={} {model:?}", g.n());
-                    }
+        for g in &graphs {
+            for model in [CollisionModel::NoCollisionDetection, CollisionModel::CollisionDetection]
+            {
+                for seed in 0..3u64 {
+                    let faults = (seed == 2)
+                        .then(|| FaultSchedule::new(g.n(), vec![0], 0.4, 0.2, 0.05, seed));
+                    let fresh = flood_trial(g, model, faults.clone(), seed, 24);
+                    let mut sim = Simulator::reuse(&mut scratch, g, model, seed, faults.clone());
+                    let pooled = audited_flood(&mut sim, faults.as_ref(), 24);
+                    assert_eq!(fresh, pooled, "pooled divergence: n={} {model:?}", g.n());
                 }
             }
         }
     }
 
-    /// Per-node (heard, collided, transmitted, down) snapshot of one round.
-    type NodeBits = Vec<(bool, bool, bool, bool)>;
-
-    /// Logs everything a [`RoundView`] exposes at every round end.
-    struct RoundEndProbe<P> {
-        inner: P,
-        n: usize,
-        log: Vec<(Round, Vec<NodeId>, NodeBits)>,
-    }
-
-    impl<P: Protocol<Msg = u64>> Protocol for RoundEndProbe<P> {
-        type Msg = u64;
-
-        fn transmit(&mut self, round: Round, tx: &mut TxBuf<u64>) {
-            self.inner.transmit(round, tx);
-        }
-
-        fn deliver(&mut self, round: Round, node: NodeId, from: NodeId, msg: &u64) {
-            self.inner.deliver(round, node, from, msg);
-        }
-
-        fn collision(&mut self, round: Round, node: NodeId) {
-            self.inner.collision(round, node);
-        }
-
-        fn round_end(&mut self, round: Round, view: &RoundView<'_>) {
-            let mut frontier = view.frontier().to_vec();
-            frontier.sort_unstable();
-            let bits = (0..self.n as NodeId)
-                .map(|v| (view.heard(v), view.collided(v), view.transmitted(v), view.down(v)))
-                .collect();
-            self.log.push((round, frontier, bits));
-        }
-    }
-
     #[test]
     fn round_end_view_is_identical_across_modes_and_kernels() {
-        // Every query the RoundView answers must agree bit for bit between
-        // the stamp path, the bitset path, and the dense kernel — including
-        // under jam/drop/crash faults. The probe also cross-checks the
-        // frontier against the per-node heard bits.
+        // Every query the RoundView answers must match the definition bit
+        // for bit on the sparse path and the dense kernel — including under
+        // jam/drop/crash faults. The audit also checks the frontier against
+        // the heard set.
         let graphs = [generators::path(12), generators::star(10), generators::complete(24)];
         type PlanFn = fn(usize, u64) -> FaultSchedule;
         let plans: [Option<PlanFn>; 2] =
@@ -1795,28 +1247,7 @@ mod tests {
             {
                 for plan in &plans {
                     for seed in 0..2u64 {
-                        let run = |mode: EngineMode| {
-                            let faults = plan.map(|mk| mk(g.n(), seed + 5));
-                            let mut sim = Simulator::with_mode(g, model, seed, faults, mode);
-                            let mut p = RoundEndProbe {
-                                inner: crate::testing::NaiveFlood::new(g.n(), 0),
-                                n: g.n(),
-                                log: Vec::new(),
-                            };
-                            sim.run(&mut p, 24);
-                            p.log
-                        };
-                        let reference = run(EngineMode::Reference);
-                        let frontier = run(EngineMode::Frontier);
-                        assert_eq!(reference.len(), 24, "round_end fires every round");
-                        for (r, f) in reference.iter().zip(&frontier) {
-                            assert_eq!(r, f, "view divergence: n={} {model:?} seed={seed}", g.n());
-                        }
-                        for (_, front, bits) in &reference {
-                            let heard: Vec<NodeId> =
-                                (0..g.n() as NodeId).filter(|&v| bits[v as usize].0).collect();
-                            assert_eq!(front, &heard, "frontier == heard set");
-                        }
+                        flood_trial(g, model, plan.map(|mk| mk(g.n(), seed + 5)), seed, 24);
                     }
                 }
             }
@@ -1827,19 +1258,14 @@ mod tests {
     fn frontier_crash_bitset_tracks_schedule_after_set_faults_midrun() {
         // Install a crash schedule after some rounds have already run: the
         // crash queue must catch up to the current global round, matching
-        // the reference path exactly from the installation point on.
+        // the definition exactly from the installation point on.
         let g = generators::path(6);
-        let run = |mode: EngineMode| {
-            let mut sim =
-                Simulator::with_mode(&g, CollisionModel::NoCollisionDetection, 3, None, mode);
-            let mut p = crate::testing::NaiveFlood::new(g.n(), 0);
-            sim.run(&mut p, 10);
-            sim.set_faults(Some(FaultSchedule::new(6, vec![], 0.0, 0.0, 0.25, 9)));
-            let mut p2 = crate::testing::NaiveFlood::new(g.n(), 0);
-            let stats = sim.run(&mut p2, 30);
-            (stats, sim.metrics())
-        };
-        assert_eq!(run(EngineMode::Reference), run(EngineMode::Frontier));
+        let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 3);
+        audited_flood(&mut sim, None, 10);
+        let schedule = FaultSchedule::new(6, vec![], 0.0, 0.0, 0.25, 9);
+        sim.set_faults(Some(schedule.clone()));
+        audited_flood(&mut sim, Some(&schedule), 30);
+        assert_eq!(sim.metrics().rounds, 40);
     }
 
     #[test]

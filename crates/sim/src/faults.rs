@@ -14,21 +14,13 @@
 //! [`FaultSchedule`]: concrete jammer node ids plus a *stateless* source of
 //! per-`(round, node)` fault coins (SplitMix64-hashed, so querying a coin is
 //! `O(1)`, order-independent, and perfectly reproducible). The schedule is
-//! consumed in two places:
-//!
-//! * the [`crate::Simulator`] engine applies it at the channel level —
-//!   dropped nodes neither transmit nor receive that round, jammers never
-//!   perform protocol actions and instead emit noise with their firing
-//!   probability (noise collides with real traffic; a *uniquely* heard noise
-//!   burst is garbage and delivers nothing);
-//! * the [`crate::Faulty`] combinator applies the same semantics at the
-//!   protocol layer, for tests that want an explicit wrapper. Protocol
-//!   behavior and transmission/collision accounting match the engine path
-//!   coin for coin, but the *deliveries* metric differs: the combinator's
-//!   noise is an ordinary message to the (fault-unaware) engine, so a
-//!   uniquely heard burst counts as a channel delivery there, while the
-//!   engine path counts it as nothing. Measurements should use the engine
-//!   path (campaigns do).
+//! consumed by the [`crate::Simulator`] engine, which applies it at the
+//! channel level — dropped nodes neither transmit nor receive that round,
+//! jammers never perform protocol actions and instead emit noise with their
+//! firing probability (noise collides with real traffic; a *uniquely* heard
+//! noise burst is garbage and delivers nothing). The same rules, stated
+//! through the schedule's public per-round queries, are the channel
+//! specification [`crate::testing::Audit`] checks the engine against.
 //!
 //! The engine receives its schedule **explicitly**: either at construction
 //! via [`crate::Simulator::with_faults`] or afterwards via
@@ -463,12 +455,12 @@ impl FaultSchedule {
 
     /// The transient-dropout component of [`FaultSchedule::is_down`] alone:
     /// whether `node`'s dropout coin fires in `round` (always `false` for
-    /// jammers). The engine's frontier mode evaluates the permanent
+    /// jammers). The engine evaluates the permanent
     /// crash-stop component through an incrementally maintained crashed-node
     /// bitset instead of the per-query `crash_round` vector read, so for
     /// every non-jammer `is_down(r, v) == is_dropped(r, v) || r >=
-    /// crash_round(v)` is the invariant both paths share (jammers never
-    /// crash — their crash round is `u64::MAX`).
+    /// crash_round(v)` is the invariant the engine relies on (jammers
+    /// never crash — their crash round is `u64::MAX`).
     pub fn is_dropped(&self, round: u64, node: NodeId) -> bool {
         if self.is_jammer[node as usize] {
             return false;
@@ -677,7 +669,7 @@ mod tests {
 
     #[test]
     fn is_down_decomposes_into_dropout_plus_crash() {
-        // The invariant the engine's frontier mode relies on: for every
+        // The invariant the engine relies on: for every
         // (round, node), is_down == is_dropped || round >= crash_round.
         let s = FaultSchedule::new(24, vec![5, 11], 0.5, 0.3, 0.02, 21);
         for round in 0..200u64 {

@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 
 mod bitset;
-mod combinators;
 mod engine;
 pub mod family;
 pub mod faults;
@@ -63,11 +62,7 @@ mod trace;
 mod values;
 
 pub use bitset::WordBitset;
-pub use combinators::{Either, Faulty, Interleave, Jammer, Noise};
-pub use engine::{
-    with_default_engine_mode, CollisionModel, EngineMode, Metrics, RoundView, RunOutcome, RunStats,
-    SimScratch, Simulator,
-};
+pub use engine::{CollisionModel, Metrics, RoundView, RunOutcome, RunStats, SimScratch, Simulator};
 pub use family::{OverrideClass, OverrideSpec, ParsedArgs, ProtocolFamily};
 pub use faults::{FaultError, FaultPlan, FaultSchedule};
 pub use params::NetParams;

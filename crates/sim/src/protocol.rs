@@ -53,7 +53,7 @@ impl<M> TxBuf<M> {
         &self.entries
     }
 
-    /// Drains the recorded pairs (used by combinators that re-wrap messages).
+    /// Drains the recorded pairs (for wrappers that re-wrap messages).
     pub fn drain(&mut self) -> std::vec::Drain<'_, (NodeId, M)> {
         self.entries.drain(..)
     }
@@ -104,7 +104,7 @@ pub trait Protocol {
     /// [`Protocol::deliver`] / [`Protocol::collision`] of that round, with a
     /// read-only [`RoundView`] of the channel outcome — per-node
     /// heard/collided/transmitted/down bits plus the round's frontier (the
-    /// nodes that heard energy). Both engine modes call it identically.
+    /// nodes that heard energy).
     ///
     /// This is the seam for *frontier-native* protocol state: a protocol
     /// keeping its per-node state as struct-of-arrays vectors + bitsets can

@@ -1,15 +1,15 @@
-//! Differential testing of the engine against a brute-force reference model.
+//! Property tests of the engine against the definitional channel model.
 //!
-//! The optimized engine processes only transmitters and their neighborhoods
-//! (stamp arrays, sparse touch lists). The reference below recomputes each
-//! round from the definition: *for every node*, count transmitting
-//! neighbors; deliver iff the node listens and the count is exactly one.
-//! Property tests drive both with identical random transmission patterns on
-//! random graphs and require identical outcomes.
+//! [`Audit`] recomputes each round from the definition — *for every node*,
+//! count transmitting neighbors; deliver iff the node listens and the count
+//! is exactly one — and panics on the first callback, callback order, view
+//! bit or frontier where the engine differs. The properties below drive it
+//! with random transmission scripts on random graphs.
 
 use proptest::prelude::*;
 use rn_graph::{Graph, NodeId};
-use rn_sim::{CollisionModel, Protocol, Round, Simulator, TxBuf};
+use rn_sim::testing::Audit;
+use rn_sim::{CollisionModel, Protocol, Round, RunStats, Simulator, TxBuf};
 
 /// A scripted protocol: transmits exactly the given `(round, node, msg)`
 /// triples and records everything it observes.
@@ -47,39 +47,14 @@ impl Protocol for Scripted {
     }
 }
 
-type Deliveries = Vec<(Round, NodeId, NodeId, u64)>;
-type Collisions = Vec<(Round, NodeId)>;
-
-/// The definitional reference: returns (deliveries, collisions) per round.
-fn reference(g: &Graph, sends: &[Vec<(NodeId, u64)>], cd: bool) -> (Deliveries, Collisions) {
-    let mut deliveries = Vec::new();
-    let mut collisions = Vec::new();
-    for (r, batch) in sends.iter().enumerate() {
-        let transmitting: Vec<bool> = {
-            let mut t = vec![false; g.n()];
-            for &(u, _) in batch {
-                t[u as usize] = true;
-            }
-            t
-        };
-        for v in g.nodes() {
-            if transmitting[v as usize] {
-                continue; // transmitters cannot listen
-            }
-            let heard: Vec<&(NodeId, u64)> =
-                batch.iter().filter(|(u, _)| g.has_edge(*u, v)).collect();
-            match heard.len() {
-                0 => {}
-                1 => deliveries.push((r as Round, v, heard[0].0, heard[0].1)),
-                _ => {
-                    if cd {
-                        collisions.push((r as Round, v));
-                    }
-                }
-            }
-        }
-    }
-    (deliveries, collisions)
+/// Runs the script audited; returns the engine's stats and the protocol.
+fn audited(g: &Graph, sends: &[Vec<(NodeId, u64)>], model: CollisionModel) -> (RunStats, Scripted) {
+    let mut p = Audit::new(Scripted::new(sends.to_vec()), g, model, None);
+    let mut sim = Simulator::new(g, model, 1);
+    let stats = sim.run(&mut p, sends.len() as u64);
+    assert_eq!(stats.metrics, p.metrics(), "engine metrics diverge from the definition");
+    p.check_last_touched(sim.last_touched());
+    (stats, p.into_inner())
 }
 
 /// Strategy: a connected graph and a 1–6 round transmission script with
@@ -112,46 +87,29 @@ proptest! {
 
     #[test]
     fn engine_matches_reference_no_cd((g, sends) in arb_scenario()) {
-        let mut p = Scripted::new(sends.clone());
-        let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-        sim.run(&mut p, sends.len() as u64);
-        let (expect_deliv, _) = reference(&g, &sends, false);
-        let mut got = p.received.clone();
-        let mut want = expect_deliv;
-        got.sort_unstable();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
+        let (_, p) = audited(&g, &sends, CollisionModel::NoCollisionDetection);
         prop_assert!(p.collisions.is_empty(), "no CD notifications in the no-CD model");
+        // Every delivery carries the message its sender queued that round.
+        for &(r, _, from, msg) in &p.received {
+            prop_assert!(sends[r as usize].contains(&(from, msg)));
+        }
     }
 
     #[test]
     fn engine_matches_reference_cd((g, sends) in arb_scenario()) {
-        let mut p = Scripted::new(sends.clone());
-        let mut sim = Simulator::new(&g, CollisionModel::CollisionDetection, 1);
-        sim.run(&mut p, sends.len() as u64);
-        let (expect_deliv, expect_coll) = reference(&g, &sends, true);
-        let mut got_d = p.received.clone();
-        let mut want_d = expect_deliv;
-        got_d.sort_unstable();
-        want_d.sort_unstable();
-        prop_assert_eq!(got_d, want_d);
-        let mut got_c = p.collisions.clone();
-        let mut want_c = expect_coll;
-        got_c.sort_unstable();
-        want_c.sort_unstable();
-        prop_assert_eq!(got_c, want_c);
+        let (stats, p) = audited(&g, &sends, CollisionModel::CollisionDetection);
+        prop_assert_eq!(p.collisions.len() as u64, stats.metrics.collisions);
+        for &(r, _, from, msg) in &p.received {
+            prop_assert!(sends[r as usize].contains(&(from, msg)));
+        }
     }
 
     #[test]
     fn metrics_match_reference_counts((g, sends) in arb_scenario()) {
-        let mut p = Scripted::new(sends.clone());
-        let mut sim = Simulator::new(&g, CollisionModel::NoCollisionDetection, 1);
-        let stats = sim.run(&mut p, sends.len() as u64);
-        let (expect_deliv, _) = reference(&g, &sends, false);
-        let (_, expect_coll) = reference(&g, &sends, true);
-        prop_assert_eq!(stats.metrics.deliveries, expect_deliv.len() as u64);
-        prop_assert_eq!(stats.metrics.collisions, expect_coll.len() as u64);
+        let (nocd, _) = audited(&g, &sends, CollisionModel::NoCollisionDetection);
+        let (cd, _) = audited(&g, &sends, CollisionModel::CollisionDetection);
+        prop_assert_eq!(nocd.metrics, cd.metrics, "CD changes observations, not counts");
         let total_tx: usize = sends.iter().map(|b| b.len()).sum();
-        prop_assert_eq!(stats.metrics.transmissions, total_tx as u64);
+        prop_assert_eq!(nocd.metrics.transmissions, total_tx as u64);
     }
 }

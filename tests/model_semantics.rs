@@ -4,6 +4,7 @@
 
 use radio_networks::prelude::*;
 use radio_networks::sim::testing::NaiveFlood;
+use radio_networks::sim::FaultSchedule;
 
 #[test]
 fn naive_flooding_hits_the_deterministic_collision_trap() {
@@ -47,26 +48,28 @@ fn jamming_degrades_gracefully_never_panics() {
     let g = graph::generators::grid(8, 8);
     let net = NetParams::of_graph(&g);
     let jammers = vec![9u32, 18];
-    let inner = decay::DecayBroadcast::single_source(net, 0, 1, 5);
-    let mut jammed = sim::Jammer::new(inner, g.n(), jammers.clone(), 0.5, 99);
-    let mut simulator = Simulator::new(&g, CollisionModel::NoCollisionDetection, 5);
-    simulator.run_until(&mut jammed, 100_000, |_, p| {
-        g.nodes().all(|v| p.inner().value_of(v).is_some() || jammers.contains(&v))
+    let faults = FaultSchedule::new(g.n(), jammers.clone(), 0.5, 0.0, 0.0, 99);
+    let mut p = decay::DecayBroadcast::single_source(net, 0, 1, 5);
+    let mut simulator =
+        Simulator::with_faults(&g, CollisionModel::NoCollisionDetection, 5, Some(faults));
+    simulator.run_until(&mut p, 100_000, |_, p| {
+        g.nodes().all(|v| p.value_of(v).is_some() || jammers.contains(&v))
     });
     for v in g.nodes() {
         if !jammers.contains(&v) {
-            assert_eq!(jammed.inner().value_of(v), Some(1), "node {v} not reached");
+            assert_eq!(p.value_of(v), Some(1), "node {v} not reached");
         }
     }
 
     // An always-on jammer at a cut vertex stops everything behind it.
     let path = graph::generators::path(40);
     let pnet = NetParams::of_graph(&path);
-    let inner = decay::DecayBroadcast::single_source(pnet, 0, 1, 5);
-    let mut blocked = sim::Jammer::new(inner, path.n(), vec![1], 1.0, 99);
-    let mut simulator = Simulator::new(&path, CollisionModel::NoCollisionDetection, 5);
+    let faults = FaultSchedule::new(path.n(), vec![1], 1.0, 0.0, 0.0, 99);
+    let mut blocked = decay::DecayBroadcast::single_source(pnet, 0, 1, 5);
+    let mut simulator =
+        Simulator::with_faults(&path, CollisionModel::NoCollisionDetection, 5, Some(faults));
     simulator.run(&mut blocked, 20_000);
-    let informed = path.nodes().filter(|&v| blocked.inner().value_of(v).is_some()).count();
+    let informed = path.nodes().filter(|&v| blocked.value_of(v).is_some()).count();
     assert!(informed <= 2, "nothing can pass a permanently jammed cut vertex");
 }
 
@@ -76,36 +79,16 @@ fn compete_survives_jamming_without_false_completion() {
     let net = NetParams::of_graph(&g);
     let params = core::CompeteParams::default();
     let pre = core::Precomputed::build(&g, net, &params, 3);
-    let inner = core::CompeteProtocol::new(&pre, params, &[(0, 7)], 3);
+    let mut jammed = core::CompeteProtocol::new(&pre, params, &[(0, 7)], 3);
     let jam_nodes: Vec<NodeId> = (1..8).collect();
-    let mut jammed = sim::Jammer::new(inner, g.n(), jam_nodes, 0.9, 17);
-    let mut simulator = Simulator::new(&g, CollisionModel::NoCollisionDetection, 3);
-    simulator.run_until(&mut jammed, 200_000, |_, p| p.inner().all_know_target());
+    let faults = FaultSchedule::new(g.n(), jam_nodes, 0.9, 0.0, 0.0, 17);
+    let mut simulator =
+        Simulator::with_faults(&g, CollisionModel::NoCollisionDetection, 3, Some(faults));
+    simulator.run_until(&mut jammed, 200_000, |_, p| p.all_know_target());
     // Whatever happened, knowledge must only ever be the true source value.
     for v in g.nodes() {
-        if let Some(x) = jammed.inner().value_of(v) {
+        if let Some(x) = jammed.value_of(v) {
             assert_eq!(x, 7, "node {v} learned a fabricated value");
         }
-    }
-}
-
-#[test]
-fn interleaved_protocols_do_not_interfere_semantically() {
-    // Run two independent decay broadcasts time-sliced on one channel: both
-    // must complete, and each node's value must come from its own protocol.
-    let g = graph::generators::path(30);
-    let net = NetParams::of_graph(&g);
-    let a = decay::DecayBroadcast::single_source(net, 0, 111, 1);
-    let b = decay::DecayBroadcast::single_source(net, 29, 222, 2);
-    let mut both = sim::Interleave::new(a, b);
-    let mut simulator = Simulator::new(&g, CollisionModel::NoCollisionDetection, 4);
-    simulator.run_until(&mut both, 400_000, |_, p| {
-        p.first().all_informed() && p.second().all_informed()
-    });
-    assert!(both.first().all_informed());
-    assert!(both.second().all_informed());
-    for v in g.nodes() {
-        assert_eq!(both.first().value_of(v), Some(111));
-        assert_eq!(both.second().value_of(v), Some(222));
     }
 }
