@@ -14,8 +14,9 @@
 //! silently.
 //!
 //! Rules are scoped by *path*, mirroring the workspace's determinism
-//! contract: everything under `crates/*/`, `src/`, `tests/` and `examples/`
-//! is scanned (the `shims/` stand-ins for external crates are not), with
+//! contract: everything under `crates/*/`, `src/`, `tests/`, `examples/`
+//! and `perfbench/` (the benchmark driver, outside the workspace) is
+//! scanned (the `shims/` stand-ins for external crates are not), with
 //! per-rule carve-outs documented on [`RULES`].
 
 use crate::lex::{lex, Comment, Lexed, Tok, TokKind};
@@ -125,7 +126,7 @@ pub fn classify(rel: &str) -> Option<FileScope> {
     if !rel.ends_with(".rs") {
         return None;
     }
-    let in_crates = rel.starts_with("crates/");
+    let in_crates = rel.starts_with("crates/") || rel.starts_with("perfbench/");
     let in_root =
         rel.starts_with("src/") || rel.starts_with("tests/") || rel.starts_with("examples/");
     if !in_crates && !in_root {
@@ -138,8 +139,7 @@ pub fn classify(rel: &str) -> Option<FileScope> {
         || rel.contains("/examples/");
     let crate_root = rel == "src/lib.rs"
         || rel == "src/main.rs"
-        || (rel.starts_with("crates/")
-            && (rel.ends_with("/src/lib.rs") || rel.ends_with("/src/main.rs")))
+        || (in_crates && (rel.ends_with("/src/lib.rs") || rel.ends_with("/src/main.rs")))
         || rel.contains("/src/bin/");
     Some(FileScope {
         crate_root,
@@ -804,7 +804,7 @@ impl Report {
 /// Propagates I/O errors from directory walks and file reads.
 pub fn check_tree(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
-    for top in ["crates", "src", "tests", "examples"] {
+    for top in ["crates", "src", "tests", "examples", "perfbench"] {
         let dir = root.join(top);
         if dir.is_dir() {
             collect_rs(&dir, &mut files)?;

@@ -25,6 +25,9 @@ fn classify_scopes_paths() {
     assert!(sc.test_code);
     let sc = classify("crates/sim/src/engine.rs").unwrap();
     assert!(sc.panic_docs);
+    let sc = classify("perfbench/src/main.rs").unwrap();
+    assert!(sc.crate_root && !sc.test_code);
+    assert!(classify("perfbench/src/workload.rs").is_some_and(|sc| !sc.crate_root));
     assert!(classify("shims/rand/src/lib.rs").is_none());
     assert!(classify("crates/sim/src/engine.rs.orig").is_none());
     assert!(classify("README.md").is_none());
