@@ -1069,6 +1069,46 @@ mod tests {
     }
 
     #[test]
+    fn engine_faults_heavy_jamming_blocks_completion_in_both_models() {
+        // Path 0-1-2-3: node 1 jams with probability 1, so nothing the
+        // source says ever gets past it — the flood must not report all
+        // nodes informed, under either collision model.
+        let g = generators::path(4);
+        for model in [CollisionModel::NoCollisionDetection, CollisionModel::CollisionDetection] {
+            let schedule = FaultSchedule::new(4, vec![1], 1.0, 0.0, 0.0, 9);
+            let mut sim = Simulator::with_faults(&g, model, 5, Some(schedule));
+            let mut p = NaiveFlood::new(4, 0);
+            sim.run(&mut p, 256);
+            assert_eq!(p.informed_count(), 1, "only the source knows the message ({model:?})");
+        }
+    }
+
+    #[test]
+    fn engine_faults_total_dropout_silences_all_but_jammers() {
+        // Total dropout: every protocol transmission is suppressed and
+        // nothing is ever heard.
+        let g = generators::path(2);
+        let all_down = FaultSchedule::new(2, vec![], 0.0, 1.0, 0.0, 9);
+        let mut sim =
+            Simulator::with_faults(&g, CollisionModel::NoCollisionDetection, 5, Some(all_down));
+        let mut p = crate::testing::EveryRound::new(0, 1u64);
+        let stats = sim.run(&mut p, 8);
+        assert_eq!(stats.metrics.transmissions, 0, "down nodes are silent");
+        assert_eq!(stats.metrics.deliveries, 0);
+
+        // Jammers are exempt from dropout: node 1 keeps jamming through
+        // total dropout, and down node 0 hears none of it.
+        let jam_through = FaultSchedule::new(2, vec![1], 1.0, 1.0, 0.0, 9);
+        let mut sim =
+            Simulator::with_faults(&g, CollisionModel::NoCollisionDetection, 5, Some(jam_through));
+        let mut p = crate::testing::EveryRound::new(0, 1u64);
+        let stats = sim.run(&mut p, 8);
+        assert_eq!(stats.metrics.transmissions, 8, "the adversary is reliable");
+        assert_eq!(stats.metrics.collisions + stats.metrics.deliveries, 0, "node 0 is down");
+        assert_eq!(p.rounds_seen(), 8, "the protocol still runs");
+    }
+
+    #[test]
     fn with_faults_constructor_matches_set_faults() {
         let g = generators::star(3);
         let schedule = FaultSchedule::new(3, vec![2], 1.0, 0.0, 0.0, 7);

@@ -142,11 +142,6 @@ impl<'g, P: Protocol> Audit<'g, P> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped protocol.
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
-    }
-
     /// Consumes the audit, returning the wrapped protocol.
     pub fn into_inner(self) -> P {
         self.inner
