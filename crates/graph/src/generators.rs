@@ -294,8 +294,13 @@ pub fn random_geometric(n: usize, radius: f64, rng: &mut impl Rng) -> Graph {
     let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
     let r2 = radius * radius;
 
-    // Grid-bucket neighbor search: cells of side `radius`.
-    let cells = ((1.0 / radius).ceil() as usize).max(1);
+    // Grid-bucket neighbor search over `cells × cells` cells of side
+    // `1/cells ≥ radius`, so every in-range pair lies in the same or an
+    // adjacent cell. Capping the count at `⌈√n⌉` bounds the bucket table by
+    // `O(n)` for tiny radii (a wider cell only makes the search less
+    // selective, never inexact).
+    let max_cells = ((n as f64).sqrt().ceil() as usize).max(1);
+    let cells = ((1.0 / radius).floor() as usize).clamp(1, max_cells);
     let cell_of = |p: (f64, f64)| {
         let cx = ((p.0 * cells as f64) as usize).min(cells - 1);
         let cy = ((p.1 * cells as f64) as usize).min(cells - 1);
@@ -666,6 +671,44 @@ mod tests {
     fn rgg_sparse_radius_still_connected_via_augmentation() {
         let g = random_geometric(100, 0.02, &mut rng());
         assert!(g.is_connected());
+    }
+
+    #[test]
+    fn rgg_has_every_in_range_pair_when_one_over_radius_is_fractional() {
+        // With cells narrower than the radius, in-range pairs two cells
+        // apart were missed. Compare against all pairs, drawing the same
+        // points from a cloned generator.
+        for (n, radius, seed) in [(3000, 0.045, 3), (2000, 0.055, 2), (1500, 0.07, 1)] {
+            let mut r = SmallRng::seed_from_u64(seed);
+            let mut points = r.clone();
+            let g = random_geometric(n, radius, &mut r);
+            let pts: Vec<(f64, f64)> =
+                (0..n).map(|_| (points.gen::<f64>(), points.gen::<f64>())).collect();
+            let mut in_range = 0usize;
+            for i in 0..n {
+                for j in i + 1..n {
+                    let d2 = (pts[i].0 - pts[j].0).powi(2) + (pts[i].1 - pts[j].1).powi(2);
+                    if d2 <= radius * radius {
+                        in_range += 1;
+                        assert!(
+                            g.has_edge(i as NodeId, j as NodeId),
+                            "rgg({n},{radius}) seed {seed} misses in-range pair ({i},{j})"
+                        );
+                    }
+                }
+            }
+            // Connected samples get no augmentation edges: exact match.
+            assert_eq!(g.m(), in_range, "rgg({n},{radius}) seed {seed} edge count");
+        }
+    }
+
+    #[test]
+    fn rgg_with_a_tiny_radius_builds_without_a_huge_bucket_table() {
+        // 1/r = 10⁵ cells per side would be a 10¹⁰-entry table; the cell
+        // count is capped at ⌈√n⌉ per side.
+        let g = random_geometric(100, 0.00001, &mut rng());
+        assert_eq!(g.n(), 100);
+        assert!(g.is_connected(), "augmentation connects the isolated points");
     }
 
     #[test]
