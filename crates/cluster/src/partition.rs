@@ -1,27 +1,7 @@
 use crate::shifts::ExponentialShifts;
 use rand::Rng;
 use rn_graph::{traversal, Graph, NodeId, INVALID_NODE};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-/// Total-order wrapper for `f64` race keys (shifts are continuous, so ties
-/// are measure-zero; `total_cmp` still makes the race fully deterministic).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Key(f64);
-
-impl Eq for Key {}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
+use std::collections::VecDeque;
 
 /// A clustering of the network produced by Partition(β).
 ///
@@ -51,15 +31,74 @@ pub struct Partition {
 }
 
 /// Reusable workspace for [`Partition::recompute`] /
-/// [`Partition::recompute_within`]: the race heap, the shift vector, and the
-/// center-index table. All buffers are bounded by the graph (`n + 2m` heap
-/// entries, `n` shifts/indices), so after the first recompute on a given
-/// graph subsequent recomputes perform no heap allocation.
+/// [`Partition::recompute_within`]: the shift vector, the race's bucket
+/// queue, and the center-index table. All buffers are bounded by the graph
+/// (`n` seeds, `n + 2m` entries per bucket, `n` shifts/indices) and are
+/// reserved to those bounds, so after the first recompute on a given graph
+/// subsequent recomputes perform no heap allocation.
 #[derive(Debug, Default)]
 pub struct PartitionScratch {
     shifts: Option<ExponentialShifts>,
-    heap: BinaryHeap<Reverse<(Key, NodeId, NodeId)>>,
+    queue: BucketQueue,
     index_of_center: Vec<u32>,
+}
+
+/// The race's priority queue, specialised to its one relaxation
+/// `key + 1.0`.
+///
+/// Entries are `(key, center, node)` packed into one `u128` (see [`pack`])
+/// whose integer order is the tuple's total order. They are grouped by the
+/// integer bucket `⌊key⌋`. A relaxation adds exactly `1.0`, and float
+/// rounding is monotone, so an entry popped from bucket `b` pushes into
+/// bucket `b + 1` (or `b + 2`, when `key + 1.0` rounds up onto the next
+/// integer) — never into `b` itself. That needs `|key| < 2⁵²`, where every
+/// integer is a float and adding `1.0` is never rounded away: seed keys are
+/// `−δ_u > −7.1·10¹⁴` under [`ExponentialShifts::MIN_BETA`], and relaxed
+/// keys stay below `n`. Hence while bucket `b` drains, only `b + 1` and
+/// `b + 2` receive entries: a ring of three bucket vectors plus the seed
+/// list holds everything pending. The seeds `(−δ_u, u, u)` are
+/// sorted once; the race walks buckets upward, jumping across empty ranges
+/// to the next seed's bucket.
+///
+/// Sorting a bucket (its relaxations plus its seeds) before draining it
+/// yields exactly the order in which a lazy-deletion binary heap over the
+/// same tuples pops them, because every entry pushed later has a larger
+/// key. The clustering — including every tie broken by center id — is
+/// therefore identical to the heap race's.
+#[derive(Debug, Default)]
+struct BucketQueue {
+    seeds: Vec<u128>,
+    ring: [Vec<u128>; 3],
+}
+
+/// Packs a race entry so that integer order is `(key, center, node)` order
+/// with keys compared by `f64::total_cmp`: the key's sign-flipped bits
+/// (order-preserving for all floats), then the center, then the node.
+#[inline]
+fn pack(key: f64, center: NodeId, node: NodeId) -> u128 {
+    let bits = key.to_bits();
+    let ordered = if bits >> 63 == 1 { !bits } else { bits | 1 << 63 };
+    (ordered as u128) << 64 | (center as u128) << 32 | node as u128
+}
+
+/// Inverse of [`pack`].
+#[inline]
+fn unpack(e: u128) -> (f64, NodeId, NodeId) {
+    let ordered = (e >> 64) as u64;
+    let bits = if ordered >> 63 == 1 { ordered ^ 1 << 63 } else { !ordered };
+    (f64::from_bits(bits), (e >> 32) as NodeId, e as NodeId)
+}
+
+/// The integer bucket `⌊key⌋` of a packed entry.
+#[inline]
+fn bucket_of(e: u128) -> i64 {
+    unpack(e).0.floor() as i64
+}
+
+/// Ring slot of bucket `b`.
+#[inline]
+fn slot(b: i64) -> usize {
+    b.rem_euclid(3) as usize
 }
 
 /// Fills (or refreshes) the pooled shift slot and returns a shared borrow.
@@ -86,7 +125,7 @@ impl Partition {
     ///
     /// # Panics
     ///
-    /// Panics if `beta <= 0`.
+    /// Panics if `beta < ExponentialShifts::MIN_BETA`.
     pub fn compute(g: &Graph, beta: f64, rng: &mut impl Rng) -> Partition {
         let shifts = ExponentialShifts::sample(g.n(), beta, rng);
         Partition::with_shifts(g, &shifts)
@@ -106,7 +145,8 @@ impl Partition {
     ///
     /// # Panics
     ///
-    /// Panics if `region.len() != g.n()` or `beta <= 0`.
+    /// Panics if `region.len() != g.n()` or
+    /// `beta < ExponentialShifts::MIN_BETA`.
     pub fn compute_within(g: &Graph, beta: f64, region: &[u32], rng: &mut impl Rng) -> Partition {
         assert_eq!(region.len(), g.n(), "one region label per node");
         let shifts = ExponentialShifts::sample(g.n(), beta, rng);
@@ -114,7 +154,7 @@ impl Partition {
     }
 
     /// In-place [`Partition::compute`]: byte-identical result (single shared
-    /// race code path), but every buffer — shifts, heap, per-node tables,
+    /// race code path), but every buffer — shifts, queue, per-node tables,
     /// member CSR — is reused from `self` and `scratch`.
     pub fn recompute(
         &mut self,
@@ -123,16 +163,17 @@ impl Partition {
         rng: &mut impl Rng,
         scratch: &mut PartitionScratch,
     ) {
-        let PartitionScratch { shifts, heap, index_of_center } = scratch;
+        let PartitionScratch { shifts, queue, index_of_center } = scratch;
         let shifts = resample_into(shifts, g.n(), beta, rng);
-        self.race_in_place(g, shifts, None, heap, index_of_center);
+        self.race_in_place(g, shifts, None, queue, index_of_center);
     }
 
     /// In-place [`Partition::compute_within`] (see [`Partition::recompute`]).
     ///
     /// # Panics
     ///
-    /// Panics if `region.len() != g.n()` or `beta <= 0`.
+    /// Panics if `region.len() != g.n()` or
+    /// `beta < ExponentialShifts::MIN_BETA`.
     pub fn recompute_within(
         &mut self,
         g: &Graph,
@@ -142,16 +183,16 @@ impl Partition {
         scratch: &mut PartitionScratch,
     ) {
         assert_eq!(region.len(), g.n(), "one region label per node");
-        let PartitionScratch { shifts, heap, index_of_center } = scratch;
+        let PartitionScratch { shifts, queue, index_of_center } = scratch;
         let shifts = resample_into(shifts, g.n(), beta, rng);
-        self.race_in_place(g, shifts, Some(region), heap, index_of_center);
+        self.race_in_place(g, shifts, Some(region), queue, index_of_center);
     }
 
     fn race(g: &Graph, shifts: &ExponentialShifts, region: Option<&[u32]>) -> Partition {
         let mut p = Partition::shell(shifts.beta());
-        let mut heap = BinaryHeap::new();
+        let mut queue = BucketQueue::default();
         let mut index_of_center = Vec::new();
-        p.race_in_place(g, shifts, region, &mut heap, &mut index_of_center);
+        p.race_in_place(g, shifts, region, &mut queue, &mut index_of_center);
         p
     }
 
@@ -168,39 +209,79 @@ impl Partition {
         }
     }
 
+    /// The shifted multi-source BFS race with unit edge weights: settles
+    /// nodes in `(key, center, node)` order, where a center `u` reaches `v`
+    /// with key `dist(u, v) − δ_u`. Bucket by bucket through
+    /// [`BucketQueue`], in exactly a binary heap's pop order.
     fn race_in_place(
         &mut self,
         g: &Graph,
         shifts: &ExponentialShifts,
         region: Option<&[u32]>,
-        heap: &mut BinaryHeap<Reverse<(Key, NodeId, NodeId)>>,
+        queue: &mut BucketQueue,
         index_of_center: &mut Vec<u32>,
     ) {
         assert_eq!(shifts.len(), g.n(), "one shift per node");
         let n = g.n();
-        // Lazy-deletion Dijkstra over (key, center) with unit edge weights.
-        // Total pushes are bounded by n seeds + 2m relaxations, so one
-        // reservation covers every recompute on this graph.
-        heap.clear();
-        heap.reserve(n + 2 * g.m());
-        for u in g.nodes() {
-            heap.push(Reverse((Key(-shifts.delta(u)), u, u)));
+        let BucketQueue { seeds, ring } = queue;
+        seeds.clear();
+        seeds.reserve(n);
+        seeds.extend(g.nodes().map(|u| pack(-shifts.delta(u), u, u)));
+        seeds.sort_unstable();
+        // A bucket holds at most its seeds plus one relaxation per directed
+        // edge, so one reservation covers every recompute on this graph.
+        for bucket in ring.iter_mut() {
+            bucket.clear();
+            bucket.reserve(n + 2 * g.m());
         }
         self.beta = shifts.beta();
         self.center.clear();
         self.center.resize(n, INVALID_NODE);
         let center = &mut self.center;
-        while let Some(Reverse((key, c, v))) = heap.pop() {
-            if center[v as usize] != INVALID_NODE {
-                continue;
+        let mut next_seed = 0;
+        let mut b = seeds.first().map_or(0, |&e| bucket_of(e));
+        loop {
+            // Collect bucket `b`: its relaxations already sit in the ring;
+            // add its seeds, then sort into heap pop order.
+            let mut cur = std::mem::take(&mut ring[slot(b)]);
+            while let Some(&e) = seeds.get(next_seed) {
+                debug_assert!(bucket_of(e) >= b, "seeds are consumed in bucket order");
+                if bucket_of(e) != b {
+                    break;
+                }
+                cur.push(e);
+                next_seed += 1;
             }
-            center[v as usize] = c;
-            for &w in g.neighbors(v) {
-                let crosses = region.is_some_and(|r| r[w as usize] != r[v as usize]);
-                if center[w as usize] == INVALID_NODE && !crosses {
-                    heap.push(Reverse((Key(key.0 + 1.0), c, w)));
+            cur.sort_unstable();
+            for &e in &cur {
+                let (key, c, v) = unpack(e);
+                if center[v as usize] != INVALID_NODE {
+                    continue;
+                }
+                center[v as usize] = c;
+                let next_key = key + 1.0;
+                let next_b = next_key.floor() as i64;
+                debug_assert!(
+                    next_b == b + 1 || next_b == b + 2,
+                    "relaxing {key} from bucket {b} landed in bucket {next_b}"
+                );
+                let dst = &mut ring[slot(next_b)];
+                for &w in g.neighbors(v) {
+                    let crosses = region.is_some_and(|r| r[w as usize] != r[v as usize]);
+                    if center[w as usize] == INVALID_NODE && !crosses {
+                        dst.push(pack(next_key, c, w));
+                    }
                 }
             }
+            cur.clear();
+            ring[slot(b)] = cur;
+            b = if !ring[slot(b + 1)].is_empty() || !ring[slot(b + 2)].is_empty() {
+                b + 1
+            } else if let Some(&e) = seeds.get(next_seed) {
+                bucket_of(e)
+            } else {
+                break;
+            };
         }
         self.rebuild_bookkeeping(index_of_center);
     }

@@ -8,6 +8,7 @@
 
 use crate::distributed::{Announce, DistributedPartition, DistributedPartitionConfig};
 use crate::partition::{Partition, ValidateScratch};
+use crate::shifts::ExponentialShifts;
 use rn_graph::{Graph, NodeId};
 use rn_sim::family::{ParsedArgs, ProtocolFamily};
 use rn_sim::{
@@ -29,7 +30,7 @@ use rn_sim::{
 ///   `completed` column is for.
 #[derive(Debug, Clone)]
 pub struct PartitionScenario {
-    /// The clustering parameter β ∈ (0, 1].
+    /// The clustering parameter β ∈ [`ExponentialShifts::MIN_BETA`, 1].
     pub beta: f64,
     /// Registry name (e.g. `"partition(0.5)"`).
     pub label: String,
@@ -40,11 +41,17 @@ impl PartitionScenario {
     ///
     /// # Panics
     ///
-    /// Panics if `beta` is not in `(0, 1]`.
+    /// Panics if `beta` is not in `(0, 1]` or is below
+    /// [`ExponentialShifts::MIN_BETA`].
     pub fn new(beta: f64) -> PartitionScenario {
         assert!(
             beta > 0.0 && beta <= 1.0 && beta.is_finite(),
             "partition beta {beta} not in (0, 1]"
+        );
+        assert!(
+            beta >= ExponentialShifts::MIN_BETA,
+            "partition beta {beta:e} below MIN_BETA = {:e}",
+            ExponentialShifts::MIN_BETA
         );
         PartitionScenario { beta, label: format!("partition({beta})") }
     }
@@ -123,6 +130,12 @@ impl PartitionFamily {
         let beta: f64 = a.parse().map_err(|_| format!("partition: {a:?} is not a number"))?;
         if !(beta > 0.0 && beta <= 1.0 && beta.is_finite()) {
             return Err(format!("partition: beta {a} not in (0, 1]"));
+        }
+        if beta < ExponentialShifts::MIN_BETA {
+            return Err(format!(
+                "partition: beta {a} below the floor {:e}",
+                ExponentialShifts::MIN_BETA
+            ));
         }
         Ok(beta)
     }
@@ -245,5 +258,22 @@ mod tests {
     #[should_panic(expected = "not in (0, 1]")]
     fn scenario_rejects_out_of_range_beta() {
         PartitionScenario::new(0.0);
+    }
+
+    #[test]
+    fn family_rejects_beta_below_the_floor() {
+        let f = PartitionFamily;
+        for tiny in ["5e-324", "1e-300", "9.99e-13"] {
+            let err = f.parse_args(Some(tiny)).expect_err(tiny);
+            assert!(err.contains("below the floor"), "{tiny}: {err}");
+        }
+        let floor = ExponentialShifts::MIN_BETA.to_string();
+        assert!(f.parse_args(Some(&floor)).is_ok(), "the floor itself parses");
+    }
+
+    #[test]
+    #[should_panic(expected = "below MIN_BETA")]
+    fn scenario_rejects_beta_below_the_floor() {
+        PartitionScenario::new(5e-324);
     }
 }

@@ -25,13 +25,22 @@ pub struct ExponentialShifts {
 }
 
 impl ExponentialShifts {
+    /// The smallest supported β. A shift is at most `−ln(f64::MIN_POSITIVE)
+    /// / β ≈ 708 / β`, so at this floor shifts stay below `7.1·10¹⁴ < 2⁵²`.
+    /// Below `2⁵²` the Partition(β) race's relaxation `key + 1.0` moves a
+    /// key up by a whole integer bucket; beyond it the addition can round
+    /// away entirely, and for β near the subnormal range a shift overflows
+    /// to `+∞`.
+    pub const MIN_BETA: f64 = 1e-12;
+
     /// Samples `n` independent `Exp(beta)` shifts.
     ///
     /// # Panics
     ///
-    /// Panics if `beta <= 0` or `n == 0`.
+    /// Panics if `beta < MIN_BETA` (this includes `beta <= 0` and NaN) or
+    /// `n == 0`.
     pub fn sample(n: usize, beta: f64, rng: &mut impl Rng) -> ExponentialShifts {
-        assert!(beta > 0.0, "beta must be positive");
+        check_beta(beta);
         assert!(n > 0, "need at least one node");
         let delta = (0..n)
             .map(|_| {
@@ -49,9 +58,10 @@ impl ExponentialShifts {
     ///
     /// # Panics
     ///
-    /// Panics if `beta <= 0` or `n == 0`.
+    /// Panics if `beta < MIN_BETA` (this includes `beta <= 0` and NaN) or
+    /// `n == 0`.
     pub fn resample(&mut self, n: usize, beta: f64, rng: &mut impl Rng) {
-        assert!(beta > 0.0, "beta must be positive");
+        check_beta(beta);
         assert!(n > 0, "need at least one node");
         self.beta = beta;
         self.delta.clear();
@@ -107,6 +117,15 @@ impl ExponentialShifts {
     }
 }
 
+fn check_beta(beta: f64) {
+    assert!(beta > 0.0, "beta must be positive");
+    assert!(
+        beta >= ExponentialShifts::MIN_BETA,
+        "beta {beta:e} below ExponentialShifts::MIN_BETA = {:e}",
+        ExponentialShifts::MIN_BETA
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,5 +176,27 @@ mod tests {
     fn invalid_beta_rejected() {
         let mut rng = SmallRng::seed_from_u64(5);
         let _ = ExponentialShifts::sample(10, 0.0, &mut rng);
+    }
+
+    #[test]
+    fn min_beta_is_accepted() {
+        let mut rng = SmallRng::seed_from_u64(6);
+        let s = ExponentialShifts::sample(100, ExponentialShifts::MIN_BETA, &mut rng);
+        assert!(s.max_delta() < (1u64 << 52) as f64, "shifts stay below 2^52");
+    }
+
+    #[test]
+    #[should_panic(expected = "below ExponentialShifts::MIN_BETA")]
+    fn beta_below_floor_rejected_by_sample() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let _ = ExponentialShifts::sample(10, 5e-324, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "below ExponentialShifts::MIN_BETA")]
+    fn beta_below_floor_rejected_by_resample() {
+        let mut rng = SmallRng::seed_from_u64(8);
+        let mut s = ExponentialShifts::sample(10, 0.5, &mut rng);
+        s.resample(10, 1e-13, &mut rng);
     }
 }

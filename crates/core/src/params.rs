@@ -1,3 +1,4 @@
+use rn_cluster::ExponentialShifts;
 use rn_sim::NetParams;
 use serde::{Deserialize, Serialize};
 
@@ -132,17 +133,18 @@ impl CompeteParams {
         CompeteParams { curtail_mode: CurtailMode::HaeuplerWajc, ..CompeteParams::default() }
     }
 
-    /// Coarse clustering rate `β_c = D^-coarse_beta_exp`, clamped to `(0, 1]`.
+    /// Coarse clustering rate `β_c = D^-coarse_beta_exp`, clamped to
+    /// `[ExponentialShifts::MIN_BETA, 1]`.
     pub fn coarse_beta(&self, net: &NetParams) -> f64 {
         let d = net.diameter().max(2) as f64;
-        d.powf(-self.coarse_beta_exp).clamp(1e-12, 1.0)
+        d.powf(-self.coarse_beta_exp).clamp(ExponentialShifts::MIN_BETA, 1.0)
     }
 
     /// Background clustering rate `β_bg = factor · D^-bg_beta_exp`, clamped
-    /// to `(0, 1]`.
+    /// to `[ExponentialShifts::MIN_BETA, 1]`.
     pub fn bg_beta(&self, net: &NetParams) -> f64 {
         let d = net.diameter().max(2) as f64;
-        (self.bg_beta_factor * d.powf(-self.bg_beta_exp)).clamp(1e-12, 1.0)
+        (self.bg_beta_factor * d.powf(-self.bg_beta_exp)).clamp(ExponentialShifts::MIN_BETA, 1.0)
     }
 
     /// The integer `j` values of the fine clusterings (so `β = 2^-j`), the
@@ -171,6 +173,14 @@ impl CompeteParams {
     /// Sequence length `D^seq_len_exp` (≥ 1).
     pub fn seq_len(&self, net: &NetParams) -> u64 {
         net.d_pow(self.seq_len_exp, 1)
+    }
+
+    /// Fine clustering rate `β = 2^-j`, clamped to
+    /// `[ExponentialShifts::MIN_BETA, 1]` like the coarse and background
+    /// rates (only `j ≥ 40`, reachable through the `jmax` override, is
+    /// clamped).
+    pub fn fine_beta(&self, j: u32) -> f64 {
+        (2.0f64).powi(-(j.min(i32::MAX as u32) as i32)).max(ExponentialShifts::MIN_BETA)
     }
 
     /// Main-process curtailment radius for fine parameter `j`:
@@ -233,6 +243,16 @@ mod tests {
             assert!(js.windows(2).all(|w| w[0] < w[1]));
             assert!(js[0] >= 1);
         }
+    }
+
+    #[test]
+    fn fine_beta_halves_per_j_down_to_the_floor() {
+        let p = CompeteParams::default();
+        assert_eq!(p.fine_beta(0), 1.0);
+        assert_eq!(p.fine_beta(3), 0.125);
+        assert_eq!(p.fine_beta(39), (2.0f64).powi(-39));
+        assert_eq!(p.fine_beta(40), ExponentialShifts::MIN_BETA);
+        assert_eq!(p.fine_beta(u32::MAX), ExponentialShifts::MIN_BETA);
     }
 
     #[test]

@@ -164,7 +164,7 @@ impl Precomputed {
         for i in 0..want {
             let (ji, t) = (i / copies as usize, (i % copies as usize) as u32);
             let j = self.js[ji];
-            let beta = (2.0f64).powi(-(j as i32));
+            let beta = params.fine_beta(j);
             let radius = params.curtail_radius(&net, j);
             let stream = 1000 + (ji as u64) * 512 + t as u64;
             let mut r = rng::stream_rng(seed, stream);

@@ -17,7 +17,7 @@
 
 use crate::executors::{Downcast, Upcast};
 use crate::tree::{SlotPolicy, TreeSchedule, TreeScheduleScratch};
-use rn_cluster::{Partition, PartitionScratch};
+use rn_cluster::{ExponentialShifts, Partition, PartitionScratch};
 use rn_graph::Graph;
 use rn_sim::family::{ParsedArgs, ProtocolFamily};
 use rn_sim::{
@@ -75,11 +75,17 @@ impl ScheduleScenario {
     ///
     /// # Panics
     ///
-    /// Panics if `beta` is not in `(0, 1]`.
+    /// Panics if `beta` is not in `(0, 1]` or is below
+    /// [`ExponentialShifts::MIN_BETA`].
     pub fn new(op: ScheduleOp, beta: f64) -> ScheduleScenario {
         assert!(
             beta > 0.0 && beta <= 1.0 && beta.is_finite(),
             "schedule beta {beta} not in (0, 1]"
+        );
+        assert!(
+            beta >= ExponentialShifts::MIN_BETA,
+            "schedule beta {beta:e} below MIN_BETA = {:e}",
+            ExponentialShifts::MIN_BETA
         );
         let label = if beta == DEFAULT_SCHEDULE_BETA {
             format!("schedule({})", op.as_str())
@@ -209,6 +215,12 @@ impl ScheduleFamily {
                 if !(beta > 0.0 && beta <= 1.0 && beta.is_finite()) {
                     return Err(format!("schedule: beta {b} not in (0, 1]"));
                 }
+                if beta < ExponentialShifts::MIN_BETA {
+                    return Err(format!(
+                        "schedule: beta {b} below the floor {:e}",
+                        ExponentialShifts::MIN_BETA
+                    ));
+                }
                 beta
             }
         };
@@ -330,6 +342,7 @@ mod tests {
         assert!(f.parse_args(None).is_err());
         assert!(f.parse_args(Some("sideways")).is_err());
         assert!(f.parse_args(Some("upcast,2")).is_err());
+        assert!(f.parse_args(Some("upcast,5e-324")).is_err(), "below the β floor");
         let r = f.instantiate(Some("upcast"), &[], "schedule(upcast)");
         assert_eq!(r.name(), "schedule(upcast)");
         let r = f.instantiate(Some("downcast,0.1"), &[], "schedule(downcast,0.1)");

@@ -62,14 +62,61 @@ pub struct TreeSchedule {
 }
 
 /// Reusable workspace for [`TreeSchedule::rebuild`]: the BFS queue, the
-/// greedy coloring's used-color list, and the counting-sort cursors. All
-/// three are bounded by `n`, so after the first rebuild on a given graph
+/// greedy coloring's color marks, and the counting-sort cursors. All three
+/// are bounded by `n`, so after the first rebuild on a given graph
 /// subsequent rebuilds perform no heap allocation.
 #[derive(Debug, Default)]
 pub struct TreeScheduleScratch {
     queue: VecDeque<NodeId>,
-    used: Vec<u32>,
+    marks: ColorMarks,
     cursor: Vec<u32>,
+}
+
+/// The set of colors a node's conflicts already use, as a stamp array:
+/// color `c` is taken iff `seen[c] == stamp`. Starting a new set is one
+/// increment instead of a clear, and marking / testing a color is O(1).
+#[derive(Debug, Default)]
+struct ColorMarks {
+    seen: Vec<u32>,
+    stamp: u32,
+}
+
+impl ColorMarks {
+    /// Makes room for colors `0..=max_color`; entries added start unmarked.
+    fn fit(&mut self, max_color: usize) {
+        if self.seen.len() <= max_color {
+            self.seen.resize(max_color + 1, 0);
+        }
+    }
+
+    /// Starts an empty color set. Every stamp is fresh since the last
+    /// wrap-around, and a wrap-around zeroes `seen`, so marks from earlier
+    /// sets (or earlier rebuilds) never read as taken.
+    fn start(&mut self) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+    }
+
+    /// Marks color `c` taken; `u32::MAX` (not yet colored) is ignored.
+    #[inline]
+    fn mark(&mut self, c: u32) {
+        if c != u32::MAX {
+            self.seen[c as usize] = self.stamp;
+        }
+    }
+
+    /// The smallest color not taken.
+    #[inline]
+    fn smallest_free(&self) -> u32 {
+        let mut c = 0;
+        while self.seen[c] == self.stamp {
+            c += 1;
+        }
+        c as u32
+    }
 }
 
 impl TreeSchedule {
@@ -105,7 +152,7 @@ impl TreeSchedule {
         scratch: &mut TreeScheduleScratch,
     ) {
         let n = g.n();
-        let TreeScheduleScratch { queue, used, cursor } = scratch;
+        let TreeScheduleScratch { queue, marks, cursor } = scratch;
         self.parent.clear();
         self.parent.resize(n, INVALID_NODE);
         self.depth.clear();
@@ -206,11 +253,8 @@ impl TreeSchedule {
         down_slot.resize(n, u32::MAX);
         up_slot.clear();
         up_slot.resize(n, u32::MAX);
-        // Clear before reserving: `reserve` asks for capacity *beyond the
-        // current length*, and `used` may carry entries from the previous
-        // rebuild — without the clear, a reused scratch reallocs once here.
-        used.clear();
-        used.reserve(n);
+        // A node has fewer than `n` conflicts, so its color is below `n`.
+        marks.fit(n);
         let down_color = down_slot;
         let up_color = up_slot;
         let mut max_color = 0u32;
@@ -223,14 +267,14 @@ impl TreeSchedule {
                 if kids.is_empty() {
                     continue;
                 }
-                used.clear();
+                marks.start();
                 // Conflicts: same cluster+depth transmitters p' that are
                 // adjacent to one of p's children, or whose children are
                 // adjacent to p.
                 for &u in kids {
                     for &w in g.neighbors(u) {
                         if w != p && is_peer_transmitter(w, p, cluster, depth, child_start) {
-                            push_color(used, down_color[w as usize]);
+                            marks.mark(down_color[w as usize]);
                         }
                     }
                 }
@@ -241,10 +285,10 @@ impl TreeSchedule {
                         && pw != p
                         && is_peer_transmitter(pw, p, cluster, depth, child_start)
                     {
-                        push_color(used, down_color[pw as usize]);
+                        marks.mark(down_color[pw as usize]);
                     }
                 }
-                let c = smallest_free(used);
+                let c = marks.smallest_free();
                 down_color[p as usize] = c;
                 max_color = max_color.max(c);
             }
@@ -256,30 +300,31 @@ impl TreeSchedule {
                 if pu == INVALID_NODE {
                     continue;
                 }
-                used.clear();
+                marks.start();
+                let (cu, du) = (cluster[u as usize], depth[u as usize]);
                 // u' adjacent to u's parent (same cluster+depth) collides at p(u).
                 for &w in g.neighbors(pu) {
-                    if w != u
-                        && cluster[w as usize] == cluster[u as usize]
-                        && depth[w as usize] == depth[u as usize]
-                    {
-                        push_color(used, up_color[w as usize]);
+                    if w != u && cluster[w as usize] == cu && depth[w as usize] == du {
+                        marks.mark(up_color[w as usize]);
                     }
                 }
-                // u adjacent to p(u') collides at p(u'): conflict with u'.
+                // u adjacent to p(u') collides at p(u'): conflict with u'. The
+                // tree stays in its cluster one layer per edge, so u' is in
+                // u's cluster and layer exactly when its parent w is in u's
+                // cluster one layer up.
                 for &w in g.neighbors(u) {
+                    if cluster[w as usize] != cu || depth[w as usize] != du - 1 {
+                        continue;
+                    }
                     let chs = &child_data
                         [child_start[w as usize] as usize..child_start[w as usize + 1] as usize];
                     for &ch in chs {
-                        if ch != u
-                            && cluster[ch as usize] == cluster[u as usize]
-                            && depth[ch as usize] == depth[u as usize]
-                        {
-                            push_color(used, up_color[ch as usize]);
+                        if ch != u {
+                            marks.mark(up_color[ch as usize]);
                         }
                     }
                 }
-                let c = smallest_free(used);
+                let c = marks.smallest_free();
                 up_color[u as usize] = c;
                 max_color = max_color.max(c);
             }
@@ -435,24 +480,6 @@ fn is_peer_transmitter(
         && child_start[w as usize + 1] > child_start[w as usize]
 }
 
-#[inline]
-fn push_color(used: &mut Vec<u32>, c: u32) {
-    if c != u32::MAX && !used.contains(&c) {
-        used.push(c);
-    }
-}
-
-#[inline]
-fn smallest_free(used: &[u32]) -> u32 {
-    let mut c = 0u32;
-    loop {
-        if !used.contains(&c) {
-            return c;
-        }
-        c += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,6 +616,28 @@ mod tests {
                 assert_eq!(pooled.child_data, fresh.child_data);
                 assert_eq!(pooled.overflow, fresh.overflow);
             }
+        }
+    }
+
+    #[test]
+    fn color_stamp_wraparound_keeps_rebuilds_exact() {
+        // Park the stamp just below the wrap so the next rebuild crosses
+        // it mid-coloring: stale marks from before the wrap must not read
+        // as taken colors afterwards.
+        let mut rng = SmallRng::seed_from_u64(12);
+        let g = generators::grid(11, 11);
+        let mut scratch = TreeScheduleScratch::default();
+        for beta in [0.2, 0.6] {
+            let part = Partition::compute(&g, beta, &mut rng);
+            let fresh = TreeSchedule::build(&g, &part, SlotPolicy::Auto);
+            let mut pooled = TreeSchedule::build(&g, &part, SlotPolicy::Auto);
+            pooled.rebuild(&g, &part, SlotPolicy::Auto, &mut scratch);
+            scratch.marks.stamp = u32::MAX - 5;
+            pooled.rebuild(&g, &part, SlotPolicy::Auto, &mut scratch);
+            assert!(scratch.marks.stamp < 1000, "the stamp wrapped during the rebuild");
+            assert_eq!(pooled.down_slot, fresh.down_slot, "beta {beta}");
+            assert_eq!(pooled.up_slot, fresh.up_slot, "beta {beta}");
+            assert_eq!(pooled.window, fresh.window);
         }
     }
 
