@@ -32,9 +32,8 @@ pub struct Partition {
 
 /// Reusable workspace for [`Partition::recompute`] /
 /// [`Partition::recompute_within`]: the shift vector, the race's bucket
-/// queue, and the center-index table. All buffers are bounded by the graph
-/// (`n` seeds, `n + 2m` entries per bucket, `n` shifts/indices) and are
-/// reserved to those bounds, so after the first recompute on a given graph
+/// queue, and the center-index table. All buffers are bounded by `n` and
+/// reserved to that bound, so after the first recompute on a given graph
 /// subsequent recomputes perform no heap allocation.
 #[derive(Debug, Default)]
 pub struct PartitionScratch {
@@ -47,28 +46,35 @@ pub struct PartitionScratch {
 /// `key + 1.0`.
 ///
 /// Entries are `(key, center, node)` packed into one `u128` (see [`pack`])
-/// whose integer order is the tuple's total order. They are grouped by the
-/// integer bucket `⌊key⌋`. A relaxation adds exactly `1.0`, and float
-/// rounding is monotone, so an entry popped from bucket `b` pushes into
-/// bucket `b + 1` (or `b + 2`, when `key + 1.0` rounds up onto the next
-/// integer) — never into `b` itself. That needs `|key| < 2⁵²`, where every
-/// integer is a float and adding `1.0` is never rounded away: seed keys are
-/// `−δ_u > −7.1·10¹⁴` under [`ExponentialShifts::MIN_BETA`], and relaxed
-/// keys stay below `n`. Hence while bucket `b` drains, only `b + 1` and
-/// `b + 2` receive entries: a ring of three bucket vectors plus the seed
-/// list holds everything pending. The seeds `(−δ_u, u, u)` are
-/// sorted once; the race walks buckets upward, jumping across empty ranges
-/// to the next seed's bucket.
+/// whose integer order is the tuple's total order, and grouped by the
+/// integer bucket `⌊key⌋`. Float rounding is monotone, so `key + 1.0` lands
+/// one bucket up, or two when it rounds up onto the next integer. Rounding
+/// up onto an integer needs a result finer than the key's own spacing:
+/// only keys in `(−2⁻⁵⁴, 0)` do it, landing on exactly `1.0`. Every node's
+/// own seed key `−δ_v` is `≤ 0` and pops before any entry with a key
+/// `≥ 0`, so such entries can never claim a node: the race drops them
+/// instead of pushing them. Every pushed relaxation then has a key `< −1`
+/// before the addition, which is exact there (the key is below `2⁵²` in
+/// magnitude: [`ExponentialShifts::MIN_BETA`] keeps shifts under
+/// `7.1·10¹⁴`), so it lands exactly one bucket up: bucket `b + 1`'s
+/// relaxations are exactly those pushed while bucket `b` drains.
 ///
-/// Sorting a bucket (its relaxations plus its seeds) before draining it
-/// yields exactly the order in which a lazy-deletion binary heap over the
-/// same tuples pops them, because every entry pushed later has a larger
-/// key. The clustering — including every tie broken by center id — is
-/// therefore identical to the heap race's.
+/// A bucket drains in sorted order, so the first relaxation that reaches a
+/// node carries its smallest `(key, center)`; any later one would pop after
+/// it and find the node claimed. Each node is therefore queued at most
+/// once, and one `n`-slot log holds every relaxation of the race, bucket
+/// after bucket. The seeds `(−δ_u, u, u)` are sorted once; the race walks
+/// buckets upward, jumping across empty ranges to the next seed's bucket.
+/// Sorting a bucket's relaxations and merging in its seeds yields exactly
+/// the order in which a lazy-deletion binary heap over the same tuples pops
+/// them, because every entry pushed later has a larger key. The clustering
+/// — including every tie broken by center id — is therefore identical to
+/// the heap race's.
 #[derive(Debug, Default)]
 struct BucketQueue {
     seeds: Vec<u128>,
-    ring: [Vec<u128>; 3],
+    log: Vec<u128>,
+    queued: Vec<bool>,
 }
 
 /// Packs a race entry so that integer order is `(key, center, node)` order
@@ -93,12 +99,6 @@ fn unpack(e: u128) -> (f64, NodeId, NodeId) {
 #[inline]
 fn bucket_of(e: u128) -> i64 {
     unpack(e).0.floor() as i64
-}
-
-/// Ring slot of bucket `b`.
-#[inline]
-fn slot(b: i64) -> usize {
-    b.rem_euclid(3) as usize
 }
 
 /// Fills (or refreshes) the pooled shift slot and returns a shared borrow.
@@ -223,59 +223,59 @@ impl Partition {
     ) {
         assert_eq!(shifts.len(), g.n(), "one shift per node");
         let n = g.n();
-        let BucketQueue { seeds, ring } = queue;
+        let BucketQueue { seeds, log, queued } = queue;
         seeds.clear();
         seeds.reserve(n);
         seeds.extend(g.nodes().map(|u| pack(-shifts.delta(u), u, u)));
         seeds.sort_unstable();
-        // A bucket holds at most its seeds plus one relaxation per directed
-        // edge, so one reservation covers every recompute on this graph.
-        for bucket in ring.iter_mut() {
-            bucket.clear();
-            bucket.reserve(n + 2 * g.m());
-        }
+        log.clear();
+        log.reserve(n);
+        queued.clear();
+        queued.resize(n, false);
         self.beta = shifts.beta();
         self.center.clear();
         self.center.resize(n, INVALID_NODE);
         let center = &mut self.center;
-        let mut next_seed = 0;
+        // Bucket `b`'s relaxations are `log[lo..hi]`; its seeds are
+        // `seeds[next_seed..run_end]`.
+        let (mut lo, mut next_seed) = (0, 0);
         let mut b = seeds.first().map_or(0, |&e| bucket_of(e));
         loop {
-            // Collect bucket `b`: its relaxations already sit in the ring;
-            // add its seeds, then sort into heap pop order.
-            let mut cur = std::mem::take(&mut ring[slot(b)]);
-            while let Some(&e) = seeds.get(next_seed) {
-                debug_assert!(bucket_of(e) >= b, "seeds are consumed in bucket order");
-                if bucket_of(e) != b {
-                    break;
-                }
-                cur.push(e);
-                next_seed += 1;
-            }
-            cur.sort_unstable();
-            for &e in &cur {
+            let hi = log.len();
+            log[lo..hi].sort_unstable();
+            let run = seeds[next_seed..].iter().take_while(|&&e| bucket_of(e) == b).count();
+            let run_end = next_seed + run;
+            let (mut i, mut s) = (lo, next_seed);
+            while i < hi || s < run_end {
+                let e = if s == run_end || (i < hi && log[i] < seeds[s]) {
+                    i += 1;
+                    log[i - 1]
+                } else {
+                    s += 1;
+                    seeds[s - 1]
+                };
                 let (key, c, v) = unpack(e);
                 if center[v as usize] != INVALID_NODE {
                     continue;
                 }
                 center[v as usize] = c;
                 let next_key = key + 1.0;
-                let next_b = next_key.floor() as i64;
-                debug_assert!(
-                    next_b == b + 1 || next_b == b + 2,
-                    "relaxing {key} from bucket {b} landed in bucket {next_b}"
-                );
-                let dst = &mut ring[slot(next_b)];
+                // A key `≥ 0` loses to every node's own seed (see
+                // `BucketQueue`), so only negative keys are worth pushing.
+                if next_key >= 0.0 {
+                    continue;
+                }
+                debug_assert_eq!(next_key.floor() as i64, b + 1, "relaxing {key} from bucket {b}");
                 for &w in g.neighbors(v) {
                     let crosses = region.is_some_and(|r| r[w as usize] != r[v as usize]);
-                    if center[w as usize] == INVALID_NODE && !crosses {
-                        dst.push(pack(next_key, c, w));
+                    if center[w as usize] == INVALID_NODE && !queued[w as usize] && !crosses {
+                        queued[w as usize] = true;
+                        log.push(pack(next_key, c, w));
                     }
                 }
             }
-            cur.clear();
-            ring[slot(b)] = cur;
-            b = if !ring[slot(b + 1)].is_empty() || !ring[slot(b + 2)].is_empty() {
+            (lo, next_seed) = (hi, run_end);
+            b = if log.len() > lo {
                 b + 1
             } else if let Some(&e) = seeds.get(next_seed) {
                 bucket_of(e)

@@ -105,7 +105,13 @@ impl ExponentialShifts {
     /// Caps every shift at `cap` (the distributed construction conditions on
     /// `δ_max ≤ K`, which holds whp; capping implements that conditioning).
     /// Returns how many shifts were clipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is negative or NaN: shifts stay non-negative, which
+    /// the Partition(β) race relies on.
     pub fn clamp_max(&mut self, cap: f64) -> usize {
+        assert!(cap >= 0.0, "shift cap {cap} must be non-negative");
         let mut clipped = 0;
         for d in &mut self.delta {
             if *d > cap {

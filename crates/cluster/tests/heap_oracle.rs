@@ -7,10 +7,12 @@
 //! reproduce: equal keys go to the smaller center id, then the smaller node
 //! id. The proptest covers random connected graphs, random region
 //! labelings and β from the `MIN_BETA` floor up to `1e17` (keys near
-//! `−1e-17`, where most relaxations `key + 1.0` round up to the next
-//! integer and skip a bucket). The deterministic cases clamp shifts onto
-//! exact integers and onto the float just below one, so ties on the key
-//! are frequent and the center-id tie-break decides them.
+//! `−1e-17`, where most relaxations `key + 1.0` round up to exactly `1.0`
+//! and skip a bucket; such entries can never claim a node, whose own seed
+//! key is `≤ 0`, but they must still be filed and drained in order). The
+//! deterministic cases clamp shifts onto exact integers and onto the
+//! floats next to them, so ties on the key are frequent and the center-id
+//! tie-break decides them.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -90,7 +92,7 @@ fn arb_connected_graph() -> impl Strategy<Value = Graph> {
 const BETAS: [f64; 6] = [1e-12, 1e-9, 0.05, 0.5, 1.0, 1e17];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn bucket_race_matches_heap_race(g in arb_connected_graph(), seed in any::<u64>(),
@@ -145,36 +147,6 @@ fn integer_and_near_integer_key_ties_break_like_the_heap() {
                 let shifts = clamped(g, 0.05, cap, seed);
                 let got = centers(g, &Partition::with_shifts(g, &shifts));
                 assert_eq!(got, heap_race(g, &shifts, None), "n {} cap {cap:e} seed {seed}", g.n());
-            }
-        }
-    }
-}
-
-#[test]
-fn rounding_ties_across_the_two_bucket_offsets_break_like_the_heap() {
-    // With δ around 5·10⁻¹⁷, `1.0 − δ` rounds to exactly 1.0 for the
-    // smaller shifts (bucket −1 → 1, the `+2` path) and to `1 − 2⁻⁵³` for
-    // the larger ones (bucket −1 → 0), whose next hop rounds to exactly 2.0
-    // (bucket 0 → 2). So centers reach distance-2 nodes with *equal* keys
-    // through different bucket offsets, and only the center-id tie-break
-    // orders them.
-    let graphs = [
-        generators::grid(9, 9),
-        generators::barbell(8, 6),
-        generators::random_geometric(120, 0.15, &mut SmallRng::seed_from_u64(4)),
-    ];
-    for g in &graphs {
-        for beta in [1e16, 2e16, 5e16] {
-            for seed in 0..8 {
-                let shifts =
-                    ExponentialShifts::sample(g.n(), beta, &mut SmallRng::seed_from_u64(seed));
-                let got = centers(g, &Partition::with_shifts(g, &shifts));
-                assert_eq!(
-                    got,
-                    heap_race(g, &shifts, None),
-                    "n {} beta {beta:e} seed {seed}",
-                    g.n()
-                );
             }
         }
     }
