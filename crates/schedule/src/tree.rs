@@ -62,12 +62,20 @@ pub struct TreeSchedule {
 }
 
 /// Reusable workspace for [`TreeSchedule::rebuild`]: the BFS queue, the
-/// greedy coloring's color marks, and the counting-sort cursors. All three
-/// are bounded by `n`, so after the first rebuild on a given graph
-/// subsequent rebuilds perform no heap allocation.
+/// layer-adjacency lists, the greedy coloring's color marks, and the
+/// counting-sort cursors. All are bounded by `n` or `m`, so after the first
+/// rebuild on a given graph subsequent rebuilds perform no heap allocation.
 #[derive(Debug, Default)]
 pub struct TreeScheduleScratch {
     queue: VecDeque<NodeId>,
+    /// `U(u)`: `u`'s neighbors in its cluster one layer up, as the span
+    /// `up_span[u]` of `up` (filled in BFS order).
+    up: Vec<NodeId>,
+    up_span: Vec<(u32, u32)>,
+    /// `D(v)`: `v`'s neighbors in its cluster one layer down (the transpose
+    /// of `U`), CSR by node id.
+    down_start: Vec<u32>,
+    down: Vec<NodeId>,
     marks: ColorMarks,
     cursor: Vec<u32>,
 }
@@ -152,7 +160,7 @@ impl TreeSchedule {
         scratch: &mut TreeScheduleScratch,
     ) {
         let n = g.n();
-        let TreeScheduleScratch { queue, marks, cursor } = scratch;
+        let TreeScheduleScratch { queue, up, up_span, down_start, down, marks, cursor } = scratch;
         self.parent.clear();
         self.parent.resize(n, INVALID_NODE);
         self.depth.clear();
@@ -172,22 +180,36 @@ impl TreeSchedule {
             ..
         } = self;
 
-        // Per-cluster BFS with parents, restricted to the cluster.
+        // Per-cluster BFS with parents, restricted to the cluster. When `u`
+        // is popped, every neighbor one layer up is already discovered, so
+        // the same scan records `U(u)`.
         queue.clear();
         queue.reserve(n);
+        up.clear();
+        up.reserve(g.m());
+        up_span.clear();
+        up_span.resize(n, (0, 0));
         for (idx, &c) in partition.centers().iter().enumerate() {
             let idx = idx as u32;
             depth[c as usize] = 0;
             queue.push_back(c);
             while let Some(u) = queue.pop_front() {
                 let du = depth[u as usize];
+                let start = up.len() as u32;
                 for &w in g.neighbors(u) {
-                    if cluster[w as usize] == idx && depth[w as usize] == u32::MAX {
+                    if cluster[w as usize] != idx {
+                        continue;
+                    }
+                    let dw = depth[w as usize];
+                    if dw == u32::MAX {
                         depth[w as usize] = du + 1;
                         parent[w as usize] = u;
                         queue.push_back(w);
+                    } else if dw + 1 == du {
+                        up.push(w);
                     }
                 }
+                up_span[u as usize] = (start, up.len() as u32);
             }
         }
         debug_assert!(depth.iter().all(|&d| d != u32::MAX), "clusters are connected");
@@ -247,6 +269,37 @@ impl TreeSchedule {
             }
         }
 
+        // `D` = transpose of `U`, by counting sort.
+        down_start.clear();
+        down_start.resize(n + 1, 0);
+        for &w in up.iter() {
+            down_start[w as usize + 1] += 1;
+        }
+        for v in 0..n {
+            down_start[v + 1] += down_start[v];
+        }
+        down.clear();
+        down.reserve(g.m());
+        down.resize(up.len(), 0);
+        cursor.clear();
+        cursor.extend_from_slice(&down_start[..n]);
+        for (u, &(s, e)) in up_span.iter().enumerate() {
+            for &w in &up[s as usize..e as usize] {
+                let at = &mut cursor[w as usize];
+                down[*at as usize] = u as NodeId;
+                *at += 1;
+            }
+        }
+        let ups = |v: NodeId| {
+            let (s, e) = up_span[v as usize];
+            &up[s as usize..e as usize]
+        };
+        let downs =
+            |v: NodeId| &down[down_start[v as usize] as usize..down_start[v as usize + 1] as usize];
+        let kids = |v: NodeId| {
+            &child_data[child_start[v as usize] as usize..child_start[v as usize + 1] as usize]
+        };
+
         // Greedy conflict colorings, one layer at a time, written directly
         // into the slot arrays (folded modulo the window afterwards).
         down_slot.clear();
@@ -260,31 +313,25 @@ impl TreeSchedule {
         let mut max_color = 0u32;
         for d in 0..max_depth as usize + 1 {
             let layer = &depth_nodes[depth_start[d] as usize..depth_start[d + 1] as usize];
-            // --- Downcast: transmitters are nodes with children.
+            // --- Downcast: transmitters are nodes with children. Conflicts
+            // are the same-cluster, same-layer transmitters p' that are
+            // adjacent to one of p's children (p' ∈ U(child)), or that have
+            // a child adjacent to p (that child ∈ D(p)).
             for &p in layer {
-                let kids = &child_data
-                    [child_start[p as usize] as usize..child_start[p as usize + 1] as usize];
-                if kids.is_empty() {
+                if kids(p).is_empty() {
                     continue;
                 }
                 marks.start();
-                // Conflicts: same cluster+depth transmitters p' that are
-                // adjacent to one of p's children, or whose children are
-                // adjacent to p.
-                for &u in kids {
-                    for &w in g.neighbors(u) {
-                        if w != p && is_peer_transmitter(w, p, cluster, depth, child_start) {
+                for &u in kids(p) {
+                    for &w in ups(u) {
+                        if w != p && !kids(w).is_empty() {
                             marks.mark(down_color[w as usize]);
                         }
                     }
                 }
-                for &w in g.neighbors(p) {
-                    // w is a child of a peer p'' ⇒ p ∈ N(child of p'').
+                for &w in downs(p) {
                     let pw = parent[w as usize];
-                    if pw != INVALID_NODE
-                        && pw != p
-                        && is_peer_transmitter(pw, p, cluster, depth, child_start)
-                    {
+                    if pw != p {
                         marks.mark(down_color[pw as usize]);
                     }
                 }
@@ -294,31 +341,22 @@ impl TreeSchedule {
             }
 
             // --- Upcast: transmitters are all non-center nodes of the layer;
-            // the receiver that matters is the tree parent.
+            // the receiver that matters is the tree parent. Conflicts are the
+            // same-cluster, same-layer u' adjacent to p(u) (u' ∈ D(p(u))), or
+            // whose parent is adjacent to u (p(u') ∈ U(u)).
             for &u in layer {
                 let pu = parent[u as usize];
                 if pu == INVALID_NODE {
                     continue;
                 }
                 marks.start();
-                let (cu, du) = (cluster[u as usize], depth[u as usize]);
-                // u' adjacent to u's parent (same cluster+depth) collides at p(u).
-                for &w in g.neighbors(pu) {
-                    if w != u && cluster[w as usize] == cu && depth[w as usize] == du {
+                for &w in downs(pu) {
+                    if w != u {
                         marks.mark(up_color[w as usize]);
                     }
                 }
-                // u adjacent to p(u') collides at p(u'): conflict with u'. The
-                // tree stays in its cluster one layer per edge, so u' is in
-                // u's cluster and layer exactly when its parent w is in u's
-                // cluster one layer up.
-                for &w in g.neighbors(u) {
-                    if cluster[w as usize] != cu || depth[w as usize] != du - 1 {
-                        continue;
-                    }
-                    let chs = &child_data
-                        [child_start[w as usize] as usize..child_start[w as usize + 1] as usize];
-                    for &ch in chs {
+                for &w in ups(u) {
+                    for &ch in kids(w) {
                         if ch != u {
                             marks.mark(up_color[ch as usize]);
                         }
@@ -465,19 +503,6 @@ impl TreeSchedule {
         }
         violations
     }
-}
-
-#[inline]
-fn is_peer_transmitter(
-    w: NodeId,
-    p: NodeId,
-    cluster: &[u32],
-    depth: &[u32],
-    child_start: &[u32],
-) -> bool {
-    cluster[w as usize] == cluster[p as usize]
-        && depth[w as usize] == depth[p as usize]
-        && child_start[w as usize + 1] > child_start[w as usize]
 }
 
 #[cfg(test)]
