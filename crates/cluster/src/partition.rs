@@ -31,47 +31,44 @@ pub struct Partition {
 }
 
 /// Reusable workspace for [`Partition::recompute`] /
-/// [`Partition::recompute_within`]: the shift vector, the race's bucket
-/// queue, and the center-index table. All buffers are bounded by `n` and
-/// reserved to that bound, so after the first recompute on a given graph
-/// subsequent recomputes perform no heap allocation.
+/// [`Partition::recompute_within`]: the shift vector, the race queue, and
+/// the center-index table. All buffers are bounded by `n` and reserved to
+/// that bound, so after the first recompute on a given graph subsequent
+/// recomputes perform no heap allocation.
 #[derive(Debug, Default)]
 pub struct PartitionScratch {
     shifts: Option<ExponentialShifts>,
-    queue: BucketQueue,
+    queue: RaceQueue,
     index_of_center: Vec<u32>,
 }
 
 /// The race's priority queue, specialised to its one relaxation
-/// `key + 1.0`.
+/// `key + 1.0`: two sorted streams of packed `(key, center, node)` entries
+/// (see [`pack`]), merged.
 ///
-/// Entries are `(key, center, node)` packed into one `u128` (see [`pack`])
-/// whose integer order is the tuple's total order, and grouped by the
-/// integer bucket `⌊key⌋`. Float rounding is monotone, so `key + 1.0` lands
-/// one bucket up, or two when it rounds up onto the next integer. Rounding
-/// up onto an integer needs a result finer than the key's own spacing:
-/// only keys in `(−2⁻⁵⁴, 0)` do it, landing on exactly `1.0`. Every node's
-/// own seed key `−δ_v` is `≤ 0` and pops before any entry with a key
-/// `≥ 0`, so such entries can never claim a node: the race drops them
-/// instead of pushing them. Every pushed relaxation then has a key `< −1`
-/// before the addition, which is exact there (the key is below `2⁵²` in
-/// magnitude: [`ExponentialShifts::MIN_BETA`] keeps shifts under
-/// `7.1·10¹⁴`), so it lands exactly one bucket up: bucket `b + 1`'s
-/// relaxations are exactly those pushed while bucket `b` drains.
+/// * `seeds` holds every node's own entry `(−δ_u, u, u)`, sorted once.
+/// * `log` holds the relaxations in the order they are made. Nodes are
+///   claimed in `(key, center)` order, and a relaxation adds exactly `1.0`,
+///   so relaxations are appended in `(key, center)` order too and the log
+///   is itself a sorted queue. The addition is exact for keys `< −1`
+///   (their magnitude is below `2⁵²`: [`ExponentialShifts::MIN_BETA`] keeps
+///   shifts under `7.1·10¹⁴`). Relaxed keys `≥ 0`, where it can round, are
+///   never queued: every node's own seed key is `≤ 0` and pops first, so
+///   such an entry could never claim a node.
+/// * `queued` marks nodes already in the log. The first relaxation that
+///   reaches a node carries its smallest `(key, center)`; a later one would
+///   pop after it and find the node claimed. So each node is queued at most
+///   once and the log never exceeds `n` entries.
 ///
-/// A bucket drains in sorted order, so the first relaxation that reaches a
-/// node carries its smallest `(key, center)`; any later one would pop after
-/// it and find the node claimed. Each node is therefore queued at most
-/// once, and one `n`-slot log holds every relaxation of the race, bucket
-/// after bucket. The seeds `(−δ_u, u, u)` are sorted once; the race walks
-/// buckets upward, jumping across empty ranges to the next seed's bucket.
-/// Sorting a bucket's relaxations and merging in its seeds yields exactly
-/// the order in which a lazy-deletion binary heap over the same tuples pops
-/// them, because every entry pushed later has a larger key. The clustering
-/// — including every tie broken by center id — is therefore identical to
-/// the heap race's.
+/// Merging the two streams yields exactly the order in which a
+/// lazy-deletion binary heap over the same tuples pops them. The one
+/// difference is the order of entries with equal `(key, center)`, which the
+/// log keeps in relaxation order rather than node order; they claim
+/// different nodes and queue identical entries, so the clustering —
+/// including every tie broken by center id — is identical to the heap
+/// race's.
 #[derive(Debug, Default)]
-struct BucketQueue {
+struct RaceQueue {
     seeds: Vec<u128>,
     log: Vec<u128>,
     queued: Vec<bool>,
@@ -93,12 +90,6 @@ fn unpack(e: u128) -> (f64, NodeId, NodeId) {
     let ordered = (e >> 64) as u64;
     let bits = if ordered >> 63 == 1 { ordered ^ 1 << 63 } else { !ordered };
     (f64::from_bits(bits), (e >> 32) as NodeId, e as NodeId)
-}
-
-/// The integer bucket `⌊key⌋` of a packed entry.
-#[inline]
-fn bucket_of(e: u128) -> i64 {
-    unpack(e).0.floor() as i64
 }
 
 /// Fills (or refreshes) the pooled shift slot and returns a shared borrow.
@@ -190,7 +181,7 @@ impl Partition {
 
     fn race(g: &Graph, shifts: &ExponentialShifts, region: Option<&[u32]>) -> Partition {
         let mut p = Partition::shell(shifts.beta());
-        let mut queue = BucketQueue::default();
+        let mut queue = RaceQueue::default();
         let mut index_of_center = Vec::new();
         p.race_in_place(g, shifts, region, &mut queue, &mut index_of_center);
         p
@@ -211,19 +202,19 @@ impl Partition {
 
     /// The shifted multi-source BFS race with unit edge weights: settles
     /// nodes in `(key, center, node)` order, where a center `u` reaches `v`
-    /// with key `dist(u, v) − δ_u`. Bucket by bucket through
-    /// [`BucketQueue`], in exactly a binary heap's pop order.
+    /// with key `dist(u, v) − δ_u` — a binary heap's pop order, through
+    /// [`RaceQueue`].
     fn race_in_place(
         &mut self,
         g: &Graph,
         shifts: &ExponentialShifts,
         region: Option<&[u32]>,
-        queue: &mut BucketQueue,
+        queue: &mut RaceQueue,
         index_of_center: &mut Vec<u32>,
     ) {
         assert_eq!(shifts.len(), g.n(), "one shift per node");
         let n = g.n();
-        let BucketQueue { seeds, log, queued } = queue;
+        let RaceQueue { seeds, log, queued } = queue;
         seeds.clear();
         seeds.reserve(n);
         seeds.extend(g.nodes().map(|u| pack(-shifts.delta(u), u, u)));
@@ -236,52 +227,38 @@ impl Partition {
         self.center.clear();
         self.center.resize(n, INVALID_NODE);
         let center = &mut self.center;
-        // Bucket `b`'s relaxations are `log[lo..hi]`; its seeds are
-        // `seeds[next_seed..run_end]`.
-        let (mut lo, mut next_seed) = (0, 0);
-        let mut b = seeds.first().map_or(0, |&e| bucket_of(e));
-        loop {
-            let hi = log.len();
-            log[lo..hi].sort_unstable();
-            let run = seeds[next_seed..].iter().take_while(|&&e| bucket_of(e) == b).count();
-            let run_end = next_seed + run;
-            let (mut i, mut s) = (lo, next_seed);
-            while i < hi || s < run_end {
-                let e = if s == run_end || (i < hi && log[i] < seeds[s]) {
-                    i += 1;
-                    log[i - 1]
-                } else {
-                    s += 1;
-                    seeds[s - 1]
-                };
-                let (key, c, v) = unpack(e);
-                if center[v as usize] != INVALID_NODE {
-                    continue;
-                }
-                center[v as usize] = c;
-                let next_key = key + 1.0;
-                // A key `≥ 0` loses to every node's own seed (see
-                // `BucketQueue`), so only negative keys are worth pushing.
-                if next_key >= 0.0 {
-                    continue;
-                }
-                debug_assert_eq!(next_key.floor() as i64, b + 1, "relaxing {key} from bucket {b}");
-                for &w in g.neighbors(v) {
-                    let crosses = region.is_some_and(|r| r[w as usize] != r[v as usize]);
-                    if center[w as usize] == INVALID_NODE && !queued[w as usize] && !crosses {
-                        queued[w as usize] = true;
-                        log.push(pack(next_key, c, w));
-                    }
+        // Pop the smaller head of the two sorted streams.
+        let (mut i, mut s) = (0, 0);
+        while i < log.len() || s < n {
+            let e = if s == n || (i < log.len() && log[i] < seeds[s]) {
+                i += 1;
+                log[i - 1]
+            } else {
+                s += 1;
+                seeds[s - 1]
+            };
+            let (key, c, v) = unpack(e);
+            if center[v as usize] != INVALID_NODE {
+                continue;
+            }
+            center[v as usize] = c;
+            let next_key = key + 1.0;
+            if next_key >= 0.0 {
+                // Loses to every node's own seed key (see `RaceQueue`).
+                continue;
+            }
+            for &w in g.neighbors(v) {
+                let crosses = region.is_some_and(|r| r[w as usize] != r[v as usize]);
+                if center[w as usize] == INVALID_NODE && !queued[w as usize] && !crosses {
+                    queued[w as usize] = true;
+                    let e = pack(next_key, c, w);
+                    debug_assert!(
+                        log.last().is_none_or(|&t| t >> 32 <= e >> 32),
+                        "relaxations are queued in (key, center) order"
+                    );
+                    log.push(e);
                 }
             }
-            (lo, next_seed) = (hi, run_end);
-            b = if log.len() > lo {
-                b + 1
-            } else if let Some(&e) = seeds.get(next_seed) {
-                bucket_of(e)
-            } else {
-                break;
-            };
         }
         self.rebuild_bookkeeping(index_of_center);
     }
@@ -562,6 +539,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn seed_and_relaxation_key_ties_go_to_the_smaller_center() {
+        // Path 0 - 1 - 2. Node 1's own key −2 ties with the key −3 + 1 of
+        // the end with shift 3; the smaller of the two center ids wins.
+        let g = generators::path(3);
+        let center_of = |delta: [f64; 3]| {
+            let shifts = ExponentialShifts::from_deltas(0.5, delta.to_vec());
+            Partition::with_shifts(&g, &shifts).center
+        };
+        assert_eq!(center_of([3.0, 2.0, 0.0]), [0, 0, 0], "relaxation from 0 beats seed 1");
+        assert_eq!(center_of([0.0, 2.0, 3.0]), [1, 1, 2], "seed 1 beats relaxation from 2");
     }
 
     #[test]

@@ -27,10 +27,10 @@ pub struct ExponentialShifts {
 impl ExponentialShifts {
     /// The smallest supported β. A shift is at most `−ln(f64::MIN_POSITIVE)
     /// / β ≈ 708 / β`, so at this floor shifts stay below `7.1·10¹⁴ < 2⁵²`.
-    /// Below `2⁵²` the Partition(β) race's relaxation `key + 1.0` moves a
-    /// key up by a whole integer bucket; beyond it the addition can round
-    /// away entirely, and for β near the subnormal range a shift overflows
-    /// to `+∞`.
+    /// Below `2⁵²` the Partition(β) race's relaxation `key + 1.0` is exact
+    /// for every key `< −1`; beyond it the addition rounds and can vanish
+    /// entirely, and for β near the subnormal range a shift overflows to
+    /// `+∞`.
     pub const MIN_BETA: f64 = 1e-12;
 
     /// Samples `n` independent `Exp(beta)` shifts.
@@ -69,6 +69,12 @@ impl ExponentialShifts {
             let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
             -u.ln() / beta
         }));
+    }
+
+    /// Shifts with exact values, for tests that need exact key ties.
+    #[cfg(test)]
+    pub(crate) fn from_deltas(beta: f64, delta: Vec<f64>) -> ExponentialShifts {
+        ExponentialShifts { beta, delta }
     }
 
     /// The rate parameter β.

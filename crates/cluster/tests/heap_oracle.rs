@@ -1,18 +1,17 @@
-//! Differential test: the bucket-queue Partition(β) race against the
-//! lazy-deletion binary-heap race it replaced.
+//! Differential test: the Partition(β) race against the lazy-deletion
+//! binary-heap race it replaced.
 //!
 //! The heap race below is the former library implementation, kept verbatim
 //! as a test-only oracle. It pops `(key, center, node)` tuples in their
-//! total order, so it *defines* the exact tie-breaking the bucket race must
-//! reproduce: equal keys go to the smaller center id, then the smaller node
-//! id. The proptest covers random connected graphs, random region
+//! total order, so it *defines* the exact tie-breaking the library race
+//! must reproduce: equal keys go to the smaller center id, then the smaller
+//! node id. The proptest covers random connected graphs, random region
 //! labelings and β from the `MIN_BETA` floor up to `1e17` (keys near
-//! `−1e-17`, where most relaxations `key + 1.0` round up to exactly `1.0`
-//! and skip a bucket; such entries can never claim a node, whose own seed
-//! key is `≤ 0`, but they must still be filed and drained in order). The
-//! deterministic cases clamp shifts onto exact integers and onto the
-//! floats next to them, so ties on the key are frequent and the center-id
-//! tie-break decides them.
+//! `−1e-17`, where `key + 1.0` rounds up to exactly `1.0`; the library race
+//! never queues such a key, since it cannot beat any node's own seed key
+//! `≤ 0`). The deterministic cases clamp shifts onto exact integers and
+//! onto the floats next to them, so ties on the key are frequent and the
+//! center-id tie-break decides them.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -95,7 +94,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn bucket_race_matches_heap_race(g in arb_connected_graph(), seed in any::<u64>(),
+    fn race_matches_heap_race(g in arb_connected_graph(), seed in any::<u64>(),
                                      beta_i in 0usize..6, regions in 1u32..5,
                                      label_seed in any::<u64>()) {
         let beta = BETAS[beta_i];
