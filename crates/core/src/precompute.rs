@@ -27,9 +27,11 @@ pub struct FineClustering {
 }
 
 impl FineClustering {
-    fn new(j: u32, beta: f64, partition: Partition, schedule: TreeSchedule, radius: u32) -> Self {
-        let pass_len = schedule.pass_len(radius);
-        FineClustering { j, beta, partition, schedule, radius, pass_len, icp_len: 3 * pass_len }
+    /// A one-node slot whose buffers the pooled recompute / rebuild replace,
+    /// so new slots take the same code path (and scratch) as reused ones.
+    fn shell() -> Self {
+        let (partition, schedule) = shell_pair();
+        FineClustering { j: 0, beta: 1.0, partition, schedule, radius: 0, pass_len: 0, icp_len: 0 }
     }
 
     /// Refreshes the curtailment geometry after an in-place partition /
@@ -103,10 +105,7 @@ impl Precomputed {
     /// A trivial (one-node) precompute whose buffers [`Precomputed::rebuild`]
     /// replaces. Keeps fresh and pooled construction on one code path.
     pub(crate) fn shell() -> Precomputed {
-        let g1 = Graph::from_edges(1, &[]).expect("one-node graph");
-        let mut r = rng::rng_from_seed(0);
-        let coarse = Partition::compute(&g1, 1.0, &mut r);
-        let coarse_sched = TreeSchedule::build(&g1, &coarse, SlotPolicy::Fixed(1));
+        let (coarse, coarse_sched) = shell_pair();
         Precomputed {
             net: NetParams::new(1, 1),
             coarse,
@@ -160,7 +159,7 @@ impl Precomputed {
         let copies = params.fine_copies(&net);
         self.copies = copies;
         let want = self.js.len() * copies as usize;
-        self.fines.truncate(want);
+        self.fines.resize_with(want, FineClustering::shell);
         for i in 0..want {
             let (ji, t) = (i / copies as usize, (i % copies as usize) as u32);
             let j = self.js[ji];
@@ -168,21 +167,10 @@ impl Precomputed {
             let radius = params.curtail_radius(&net, j);
             let stream = 1000 + (ji as u64) * 512 + t as u64;
             let mut r = rng::stream_rng(seed, stream);
-            if let Some(f) = self.fines.get_mut(i) {
-                f.partition.recompute_within(
-                    g,
-                    beta,
-                    &self.coarse_idx,
-                    &mut r,
-                    &mut scratch.partition,
-                );
-                f.schedule.rebuild(g, &f.partition, SlotPolicy::Auto, &mut scratch.schedule);
-                f.reset_meta(j, beta, radius);
-            } else {
-                let part = Partition::compute_within(g, beta, &self.coarse_idx, &mut r);
-                let sched = TreeSchedule::build(g, &part, SlotPolicy::Auto);
-                self.fines.push(FineClustering::new(j, beta, part, sched, radius));
-            }
+            let f = &mut self.fines[i];
+            f.partition.recompute_within(g, beta, &self.coarse_idx, &mut r, &mut scratch.partition);
+            f.schedule.rebuild(g, &f.partition, SlotPolicy::Auto, &mut scratch.schedule);
+            f.reset_meta(j, beta, radius);
             charged += ((log_n * log_n * log_n) as f64 / beta).ceil() as u64;
             charged += self.fines[i].schedule.charged_build_rounds(&net);
         }
@@ -198,18 +186,13 @@ impl Precomputed {
         let beta_bg = params.bg_beta(&net);
         let bg_radius = params.bg_curtail_radius(&net);
         let bg_count = copies.max(2) as usize;
-        self.bg.truncate(bg_count);
+        self.bg.resize_with(bg_count, FineClustering::shell);
         for t in 0..bg_count {
             let mut r = rng::stream_rng(seed, 9000 + t as u64);
-            if let Some(f) = self.bg.get_mut(t) {
-                f.partition.recompute(g, beta_bg, &mut r, &mut scratch.partition);
-                f.schedule.rebuild(g, &f.partition, SlotPolicy::Auto, &mut scratch.schedule);
-                f.reset_meta(0, beta_bg, bg_radius);
-            } else {
-                let part = Partition::compute(g, beta_bg, &mut r);
-                let sched = TreeSchedule::build(g, &part, SlotPolicy::Auto);
-                self.bg.push(FineClustering::new(0, beta_bg, part, sched, bg_radius));
-            }
+            let f = &mut self.bg[t];
+            f.partition.recompute(g, beta_bg, &mut r, &mut scratch.partition);
+            f.schedule.rebuild(g, &f.partition, SlotPolicy::Auto, &mut scratch.schedule);
+            f.reset_meta(0, beta_bg, bg_radius);
             charged += ((log_n * log_n * log_n) as f64 / beta_bg).ceil() as u64;
             charged += self.bg[t].schedule.charged_build_rounds(&net);
         }
@@ -222,6 +205,14 @@ impl Precomputed {
             PrecomputeMode::Ignored => 0,
         };
     }
+}
+
+/// A one-node partition and its schedule (see [`FineClustering::shell`]).
+fn shell_pair() -> (Partition, TreeSchedule) {
+    let g1 = Graph::from_edges(1, &[]).expect("one-node graph");
+    let part = Partition::compute(&g1, 1.0, &mut rng::rng_from_seed(0));
+    let sched = TreeSchedule::build(&g1, &part, SlotPolicy::Fixed(1));
+    (part, sched)
 }
 
 #[cfg(test)]
