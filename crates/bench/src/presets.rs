@@ -99,6 +99,11 @@ pub fn presets() -> Vec<Preset> {
             kind: PresetKind::Campaign(smoke),
         },
         Preset {
+            id: "smoke_families",
+            about: "every canonical protocol instance on grid(8x8), clean and jammed; 1 trial",
+            kind: PresetKind::Campaign(smoke_families),
+        },
+        Preset {
             id: "sweep_broadcast",
             about: "broadcast family vs baselines across shapes incl. torus/ring-of-cliques",
             kind: PresetKind::Campaign(sweep_broadcast),
@@ -161,6 +166,21 @@ fn smoke() -> Campaign {
         models: nocd(),
         faults: Campaign::no_faults(),
         plan: TrialPlan::new(3),
+    }
+}
+
+/// Per-family regression gate: one seed-deterministic trial of every
+/// canonical instance, so a zero-width `bench-diff` band catches a record
+/// change in any family (CI gates it against
+/// `benchmarks/baseline_families.json`).
+fn smoke_families() -> Campaign {
+    Campaign {
+        id: "smoke_families".into(),
+        topologies: vec![TopologySpec::Grid { w: 8, h: 8 }],
+        protocols: ProtocolSpec::all(),
+        models: nocd(),
+        faults: vec![FaultPlan::none(), FaultPlan::jam(2, 0.5)],
+        plan: TrialPlan::new(1),
     }
 }
 
@@ -308,6 +328,7 @@ mod tests {
         }
         for c in [
             "smoke",
+            "smoke_families",
             "sweep_broadcast",
             "sweep_le",
             "sweep_models",
