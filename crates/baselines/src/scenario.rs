@@ -28,20 +28,6 @@ impl Runnable for BgiScenario {
         "bgi".into()
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
-        let mut p = DecayBroadcast::single_source(net, 0, 1, seed);
-        let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
-        let stats = sim.run_until(&mut p, net.decay_broadcast_budget(), |_, p| p.all_informed());
-        TrialRecord::new(p.all_informed(), stats.rounds, stats.metrics)
-    }
-
     fn run_trial_pooled(
         &self,
         g: &Graph,
@@ -75,20 +61,6 @@ pub struct TruncatedScenario;
 impl Runnable for TruncatedScenario {
     fn name(&self) -> String {
         "truncated".into()
-    }
-
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
-        let mut p = TruncatedDecayBroadcast::single_source(net, 0, 1, seed);
-        let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
-        let stats = sim.run_until(&mut p, net.decay_broadcast_budget(), |_, p| p.all_informed());
-        TrialRecord::new(p.all_informed(), stats.rounds, stats.metrics)
     }
 
     fn run_trial_pooled(
@@ -155,13 +127,16 @@ impl Runnable for BinarySearchLeScenario {
         }
     }
 
-    fn run_trial_scheduled(
+    /// Keeps no pooled state: each probe phase builds its own protocol and
+    /// simulator, so the pool goes unused.
+    fn run_trial_pooled(
         &self,
         g: &Graph,
         net: NetParams,
         _model: CollisionModel,
         seed: u64,
         faults: Option<&FaultSchedule>,
+        _pool: &mut TrialPool,
     ) -> TrialRecord {
         let r = binary_search_le_scheduled(g, net, self.kind, 1.0, seed, faults);
         TrialRecord::rounds_only(r.consistent && r.leader.is_some(), r.rounds)
@@ -172,18 +147,21 @@ impl Runnable for BinarySearchLeScenario {
 mod tests {
     use super::*;
     use rn_graph::generators;
+    use rn_sim::testing::cold_trial;
+    use rn_sim::FaultPlan;
+
+    const NOCD: CollisionModel = CollisionModel::NoCollisionDetection;
 
     #[test]
     fn baseline_scenarios_complete_on_small_grid() {
         let g = generators::grid(8, 8);
-        let net = NetParams::of_graph(&g);
         let cases: Vec<Box<dyn Runnable>> = vec![
             Box::new(BgiScenario),
             Box::new(TruncatedScenario),
             Box::new(BinarySearchLeScenario { kind: BroadcastKind::BeepWaveCd }),
         ];
         for s in cases {
-            let r = s.run_trial(&g, net, CollisionModel::NoCollisionDetection, 5);
+            let r = cold_trial(&*s, &g, NOCD, 5, &FaultPlan::none());
             assert!(r.completed, "{} must complete on grid-8x8", s.name());
             assert!(r.rounds > 0);
         }
@@ -212,29 +190,18 @@ mod tests {
 
     #[test]
     fn baseline_scenarios_run_under_faults_without_scenario_code() {
-        use rn_sim::FaultPlan;
-        // The uniform fault seam: these scenarios contain no fault logic at
-        // all, yet run faulted through the Runnable-provided method. Under
-        // total jamming no broadcast can complete.
+        // The uniform fault seam: these scenarios contain no fault logic
+        // beyond handing the schedule to the simulator. Under total jamming
+        // no broadcast can complete.
         let g = generators::grid(6, 6);
-        let net = NetParams::of_graph(&g);
         let jam_all = FaultPlan::jam(36, 1.0);
-        for s in [Box::new(BgiScenario) as Box<dyn Runnable>, Box::new(TruncatedScenario)] {
-            let r = s.run_trial_under_faults(
-                &g,
-                net,
-                CollisionModel::NoCollisionDetection,
-                7,
-                &jam_all,
-            );
+        for s in [&BgiScenario as &dyn Runnable, &TruncatedScenario] {
+            let r = cold_trial(s, &g, NOCD, 7, &jam_all);
             assert!(!r.completed, "{}: no false completion under total jamming", s.name());
             // Mild dropout still runs, deterministically.
             let plan = FaultPlan::drop(0.05);
-            let a =
-                s.run_trial_under_faults(&g, net, CollisionModel::NoCollisionDetection, 7, &plan);
-            let b =
-                s.run_trial_under_faults(&g, net, CollisionModel::NoCollisionDetection, 7, &plan);
-            assert_eq!(a, b, "{}: faulted trials are seed-deterministic", s.name());
+            let a = cold_trial(s, &g, NOCD, 7, &plan);
+            assert_eq!(a, cold_trial(s, &g, NOCD, 7, &plan), "{}: deterministic", s.name());
         }
     }
 
@@ -246,16 +213,9 @@ mod tests {
             for g in &graphs {
                 let net = NetParams::of_graph(g);
                 for seed in 0..3 {
-                    let fresh = s.run_trial(g, net, CollisionModel::NoCollisionDetection, seed);
-                    let pooled = s.run_trial_pooled(
-                        g,
-                        net,
-                        CollisionModel::NoCollisionDetection,
-                        seed,
-                        None,
-                        &mut pool,
-                    );
-                    assert_eq!(fresh, pooled, "{} n={} seed {seed}", s.name(), g.n());
+                    let cold = cold_trial(&*s, g, NOCD, seed, &FaultPlan::none());
+                    let carried = s.run_trial_pooled(g, net, NOCD, seed, None, &mut pool);
+                    assert_eq!(cold, carried, "{} n={} seed {seed}", s.name(), g.n());
                 }
             }
         }

@@ -71,9 +71,9 @@ fn bench_dense_rounds(c: &mut Criterion) {
 
 fn bench_pooled_vs_fresh(c: &mut Criterion) {
     // Multi-trial batches, matching the executor's unit of steady-state
-    // reuse: the fresh arm pays per-trial protocol construction and scratch
-    // allocation every trial; the pooled arm pays them once per *benchmark*
-    // (the pool persists across iterations). Records are byte-identical —
+    // reuse: the fresh arm runs every trial on a cold pool, paying protocol
+    // construction and scratch allocation each time; the pooled arm pays
+    // them once per *benchmark* (the pool persists across iterations). Records are byte-identical —
     // the pooled_diff test pins that — so any gap is pure allocation and
     // initialization overhead. Two cells bracket the regime: at 10⁵ nodes
     // the per-trial setup is amortized into sub-second trials; at the
@@ -105,12 +105,13 @@ fn bench_pooled_vs_fresh(c: &mut Criterion) {
                 let mut rounds = 0u64;
                 for _ in 0..trials {
                     seed += 1;
-                    let r = w.runnable.run_trial_under_faults_pooled(
+                    let faults = w.spec.faults.schedule_for(w.graph.n(), seed);
+                    let r = w.runnable.run_trial_pooled(
                         &w.graph,
                         w.net,
                         w.model,
                         seed,
-                        &w.spec.faults,
+                        faults.as_ref(),
                         &mut pool,
                     );
                     assert!(r.completed, "decay must complete (pooled)");

@@ -20,9 +20,10 @@
 //! proportional to the cells in flight rather than the whole sweep.
 //!
 //! Fault injection on this path is **explicit**: the worker resolves the
-//! cell's [`rn_sim::FaultPlan`] per trial and the schedule travels by
-//! parameter into [`rn_sim::Runnable::run_trial_scheduled`] — no
-//! thread-local ambient state, so trials are safe to run from any worker.
+//! cell's [`rn_sim::FaultPlan`] per trial ([`rn_sim::FaultPlan::schedule_for`])
+//! and the schedule travels by parameter into
+//! [`rn_sim::Runnable::run_trial_pooled`] — no thread-local ambient state,
+//! so trials are safe to run from any worker.
 
 use crate::campaign::{Campaign, CellResult};
 use crate::sink::{CampaignSink, RunHeader};
@@ -214,12 +215,14 @@ pub fn execute_with(
                     let runnable = &current.as_ref().expect("slot was just filled").1;
                     // rn-lint: allow(no-wall-clock) — opt-in timing telemetry, stripped from diffable result bytes
                     let started = options.timing.then(Instant::now);
-                    let record = runnable.run_trial_under_faults_pooled(
+                    let seed = rng::derive(spec.cell_seed, ti as u64);
+                    let faults = spec.faults.schedule_for(g.n(), seed);
+                    let record = runnable.run_trial_pooled(
                         g,
                         *net,
                         spec.model,
-                        rng::derive(spec.cell_seed, ti as u64),
-                        &spec.faults,
+                        seed,
+                        faults.as_ref(),
                         &mut pool,
                     );
                     let trial_time = started.map(|t| t.elapsed());

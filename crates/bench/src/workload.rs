@@ -9,7 +9,7 @@
 use crate::registry::ScenarioSpec;
 use crate::stats::{CellStats, QuantityAccum};
 use rn_graph::Graph;
-use rn_sim::{CollisionModel, NetParams, Runnable, TrialRecord};
+use rn_sim::{CollisionModel, NetParams, Runnable, TrialPool, TrialRecord};
 
 /// A resolved bench workload: the built topology, the instantiated
 /// [`Runnable`] and the effective collision model.
@@ -50,14 +50,18 @@ impl BenchWorkload {
     }
 
     /// Runs one trial under the workload's fault plan (most workloads have
-    /// none) — the body of a criterion iteration.
+    /// none) on a cold [`TrialPool`] — the body of a criterion iteration, so
+    /// every iteration measures a trial that builds its scratch from empty.
     pub fn run_trial(&self, seed: u64) -> TrialRecord {
-        self.runnable.run_trial_under_faults(
+        let faults = self.spec.faults.schedule_for(self.graph.n(), seed);
+        let mut pool = TrialPool::new();
+        self.runnable.run_trial_pooled(
             &self.graph,
             self.net,
             self.model,
             seed,
-            &self.spec.faults,
+            faults.as_ref(),
+            &mut pool,
         )
     }
 

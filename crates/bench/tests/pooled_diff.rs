@@ -1,13 +1,15 @@
-//! Differential gate for the pooled trial path: every registered protocol
-//! family, run through [`rn_sim::Runnable::run_trial_under_faults_pooled`]
-//! with ONE long-lived [`rn_sim::TrialPool`], must produce a
-//! [`rn_sim::TrialRecord`] byte-identical to the fresh
-//! [`rn_sim::Runnable::run_trial_under_faults`] path — across topologies of
+//! Differential gate for the trial path: every registered protocol family,
+//! run through [`rn_sim::Runnable::run_trial_pooled`] with ONE long-lived
+//! [`rn_sim::TrialPool`], must produce a [`rn_sim::TrialRecord`]
+//! byte-identical to the same trial on a cold pool — across topologies of
 //! different sizes and shapes, both collision models, every fault-plan form,
 //! and repeated seeds.
 //!
-//! Sharing a single pool across the whole sweep is the point: it forces
-//! every scenario-type switch (the pool's `Any` slot is recreated), every
+//! A cold pool's first trial builds every piece of scenario state with its
+//! constructor (`new`, `single_source`, `Partition::compute`, …); the
+//! carried pool re-arms the same state with `reset`/`rebuild`. Sharing a
+//! single pool across the whole sweep is the point: it forces every
+//! scenario-type switch (the pool's `Any` slot is recreated), every
 //! graph-size switch (scratch re-arms), and every back-to-back reuse (stale
 //! state from the previous trial must be unobservable) that the campaign
 //! executor's per-worker pools see in production.
@@ -26,7 +28,7 @@ fn pooled_trials_match_fresh_trials_across_the_whole_registry() {
     ];
     let faults = [FaultPlan::none(), FaultPlan::drop(0.05), FaultPlan::jam(2, 0.5)];
     // One pool for everything — the worst-case reuse schedule.
-    let mut pool = TrialPool::new();
+    let mut carried = TrialPool::new();
     for topo in &topologies {
         let g = topo.build(0xD1FF);
         let net = NetParams::new(g.n(), g.diameter_double_sweep());
@@ -39,60 +41,20 @@ fn pooled_trials_match_fresh_trials_across_the_whole_registry() {
             {
                 for (fi, fault) in faults.iter().enumerate() {
                     for seed in 0..2u64 {
-                        let fresh = runnable.run_trial_under_faults(&g, net, model, seed, fault);
-                        let pooled = runnable
-                            .run_trial_under_faults_pooled(&g, net, model, seed, fault, &mut pool);
+                        let schedule = fault.schedule_for(g.n(), seed);
+                        let run = |pool: &mut TrialPool| {
+                            runnable.run_trial_pooled(&g, net, model, seed, schedule.as_ref(), pool)
+                        };
+                        let cold = run(&mut TrialPool::new());
                         assert_eq!(
-                            fresh, pooled,
+                            cold,
+                            run(&mut carried),
                             "{spec} × {topo} × {model:?} × fault[{fi}] × seed {seed} diverged \
-                             between the fresh and pooled trial paths"
+                             between a cold pool and the carried one"
                         );
                     }
                 }
             }
         }
-    }
-}
-
-#[test]
-fn pooled_path_is_deterministic_across_distinct_pools() {
-    // Two pools with different histories must replay the same trial
-    // identically: records depend on (scenario, graph, model, seed, faults),
-    // never on what a pool ran before.
-    let g = TopologySpec::Grid { w: 8, h: 8 }.build(1);
-    let net = NetParams::new(g.n(), g.diameter_double_sweep());
-    let mut warm = TrialPool::new();
-    for spec in ProtocolSpec::all() {
-        if spec.required_nodes() > g.n() {
-            continue;
-        }
-        // Warm this pool with a different seed first.
-        let r = spec.instantiate();
-        r.run_trial_under_faults_pooled(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            99,
-            &FaultPlan::none(),
-            &mut warm,
-        );
-        let mut cold = TrialPool::new();
-        let a = r.run_trial_under_faults_pooled(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            7,
-            &FaultPlan::none(),
-            &mut warm,
-        );
-        let b = r.run_trial_under_faults_pooled(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            7,
-            &FaultPlan::none(),
-            &mut cold,
-        );
-        assert_eq!(a, b, "{spec}: pool history leaked into the record");
     }
 }

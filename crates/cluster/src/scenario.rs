@@ -62,24 +62,6 @@ impl Runnable for PartitionScenario {
         self.label.clone()
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
-        let mut p =
-            DistributedPartition::new(net, self.beta, DistributedPartitionConfig::default(), seed);
-        let budget = p.total_rounds();
-        let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
-        let stats = sim.run(&mut p, budget);
-        let (partition, repairs) = p.into_partition();
-        let valid = repairs == 0 && partition.validate(g).is_ok();
-        TrialRecord::new(valid, stats.rounds, stats.metrics)
-    }
-
     fn run_trial_pooled(
         &self,
         g: &Graph,
@@ -183,26 +165,26 @@ pub fn families() -> Vec<&'static dyn ProtocolFamily> {
 mod tests {
     use super::*;
     use rn_graph::generators;
+    use rn_sim::testing::cold_trial;
+    use rn_sim::FaultPlan;
+
+    const NOCD: CollisionModel = CollisionModel::NoCollisionDetection;
 
     #[test]
     fn partition_scenario_runs_and_scores_validity() {
         let g = generators::grid(10, 10);
-        let net = NetParams::of_graph(&g);
         let s = PartitionScenario::new(0.5);
         assert_eq!(s.name(), "partition(0.5)");
-        let r = s.run_trial(&g, net, CollisionModel::NoCollisionDetection, 7);
+        let r = cold_trial(&s, &g, NOCD, 7, &FaultPlan::none());
         assert!(r.rounds > 0, "the construction consumes radio rounds");
         assert!(r.metrics.transmissions > 0, "announcements really go on the air");
         // Determinism in the trial seed.
-        let again = s.run_trial(&g, net, CollisionModel::NoCollisionDetection, 7);
-        assert_eq!(r, again);
+        assert_eq!(r, cold_trial(&s, &g, NOCD, 7, &FaultPlan::none()));
     }
 
     #[test]
     fn partition_scenario_fails_honestly_when_jammed_flat() {
-        use rn_sim::FaultPlan;
         let g = generators::grid(6, 6);
-        let net = NetParams::of_graph(&g);
         let s = PartitionScenario::new(0.5);
         // Every node jamming: no announcement survives, so nodes fall back
         // to singletons — still a valid partition? No: nodes never adopt a
@@ -211,13 +193,7 @@ mod tests {
         // jamming; under total jamming every node is its own center and the
         // trial may legitimately complete. What must never happen is a
         // panic — the scenario degrades, it does not crash.
-        let r = s.run_trial_under_faults(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            3,
-            &FaultPlan::jam(36, 1.0),
-        );
+        let r = cold_trial(&s, &g, NOCD, 3, &FaultPlan::jam(36, 1.0));
         assert_eq!(r.metrics.deliveries, 0, "nothing is ever delivered under total jamming");
     }
 
@@ -226,18 +202,13 @@ mod tests {
         let g = generators::grid(10, 10);
         let net = NetParams::of_graph(&g);
         let s = PartitionScenario::new(0.5);
+        // A cold pool's first trial builds the protocol and partition; the
+        // carried pool re-arms them. Records must not tell the two apart.
         let mut pool = TrialPool::new();
         for seed in 0..3 {
-            let fresh = s.run_trial(&g, net, CollisionModel::NoCollisionDetection, seed);
-            let pooled = s.run_trial_pooled(
-                &g,
-                net,
-                CollisionModel::NoCollisionDetection,
-                seed,
-                None,
-                &mut pool,
-            );
-            assert_eq!(fresh, pooled, "seed {seed}");
+            let cold = cold_trial(&s, &g, NOCD, seed, &FaultPlan::none());
+            let carried = s.run_trial_pooled(&g, net, NOCD, seed, None, &mut pool);
+            assert_eq!(cold, carried, "seed {seed}");
         }
     }
 

@@ -75,7 +75,7 @@ pub struct LeaderElectionReport {
     pub unique_winner: bool,
 }
 
-fn validate(g: &Graph, sources: &[(NodeId, u64)]) -> Result<(), CompeteError> {
+fn validate_sources(g: &Graph, sources: &[(NodeId, u64)]) -> Result<(), CompeteError> {
     if sources.is_empty() {
         return Err(CompeteError::NoSources);
     }
@@ -84,41 +84,7 @@ fn validate(g: &Graph, sources: &[(NodeId, u64)]) -> Result<(), CompeteError> {
             return Err(CompeteError::SourceOutOfRange { node: s });
         }
     }
-    if !g.is_connected() {
-        return Err(CompeteError::Disconnected);
-    }
     Ok(())
-}
-
-/// The validated execution core shared by every public entry point: callers
-/// must have run [`validate`] (or constructed sources that satisfy it), so
-/// the `O(n + m)` connectivity BFS runs exactly once per call chain.
-fn run_compete(
-    g: &Graph,
-    net: NetParams,
-    sources: &[(NodeId, u64)],
-    params: &CompeteParams,
-    model: CollisionModel,
-    seed: u64,
-    faults: Option<&FaultSchedule>,
-) -> CompeteReport {
-    let pre = Precomputed::build(g, net, params, rng::derive(seed, 0x9DE));
-    let mut proto = CompeteProtocol::new(&pre, *params, sources, rng::derive(seed, 0x9D0));
-    let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
-    let budget = params.max_rounds(&net);
-    let stats = sim.run(&mut proto, budget);
-    debug_assert!(matches!(stats.outcome, RunOutcome::ProtocolDone | RunOutcome::BudgetExhausted));
-    let completed = proto.all_know_target();
-    CompeteReport {
-        completed,
-        propagation_rounds: stats.rounds,
-        charged_precompute_rounds: pre.charged_rounds,
-        total_rounds: stats.rounds + pre.charged_rounds,
-        metrics: stats.metrics,
-        target: proto.target(),
-        nodes_knowing: proto.num_knowing(),
-        seed,
-    }
 }
 
 /// Reusable cross-trial state for the pooled Compete entry points
@@ -181,11 +147,12 @@ impl CompetePool {
     }
 }
 
-/// [`run_compete`] on pooled state: identical seed streams and protocol code
-/// path (constructors are reset-on-shell), so reports are byte-identical to
-/// the fresh entry points, while buffers come from `engine`/`pool`.
+/// The Compete execution core behind every entry point. Callers have
+/// validated the sources and connectivity; the precompute, protocol state
+/// and buffers come from `engine`/`pool`, and a cold pool's first call runs
+/// the same code as every later one (constructors are reset-on-shell).
 #[allow(clippy::too_many_arguments)]
-fn run_compete_pooled(
+fn run_compete(
     g: &Graph,
     net: NetParams,
     sources: &[(NodeId, u64)],
@@ -228,11 +195,17 @@ fn run_compete_pooled(
     }
 }
 
-/// As [`compete_scheduled`], reusing engine scratch and a [`CompetePool`]
-/// across calls. Reports are byte-identical to the fresh path for every
-/// input; steady-state trials (after the first on a given graph shape)
-/// perform no heap allocation, except cloning `faults` when a schedule is
-/// supplied.
+/// Runs Compete(S) under `model` and an optional fault schedule (`None` =
+/// fault-free), reusing engine scratch and a [`CompetePool`] across calls —
+/// the one Compete trial body. [`compete`], [`compete_with_net`] and
+/// [`broadcast`] are this function on a cold pool; a warm pool gives
+/// byte-identical reports for every input. Steady-state trials (after the
+/// first on a given graph shape) perform no heap allocation, except cloning
+/// `faults` when a schedule is supplied.
+///
+/// Running under [`CollisionModel::CollisionDetection`] is an ablation: the
+/// algorithm is analysed without collision detection and ignores the
+/// notifications, but the channel's delivery semantics are identical.
 ///
 /// # Errors
 ///
@@ -249,21 +222,16 @@ pub fn compete_pooled(
     engine: &mut SimScratch,
     pool: &mut CompetePool,
 ) -> Result<CompeteReport, CompeteError> {
-    if sources.is_empty() {
-        return Err(CompeteError::NoSources);
-    }
-    for &(s, _) in sources {
-        if s as usize >= g.n() {
-            return Err(CompeteError::SourceOutOfRange { node: s });
-        }
-    }
+    validate_sources(g, sources)?;
     pool.check_connected(g)?;
-    Ok(run_compete_pooled(g, net, sources, params, model, seed, faults, engine, pool))
+    Ok(run_compete(g, net, sources, params, model, seed, faults, engine, pool))
 }
 
-/// As [`leader_election_scheduled`] on pooled state (see [`compete_pooled`]
-/// for the reuse contract): byte-identical reports, allocation-free steady
-/// state apart from rare candidate-list high-water growth.
+/// Runs leader election (Algorithm 6) under `model` and an optional fault
+/// schedule on pooled state (see [`compete_pooled`] for the reuse contract);
+/// [`leader_election`] and [`leader_election_with_net`] are this function on
+/// a cold pool. Steady state is allocation-free apart from rare
+/// candidate-list high-water growth.
 ///
 /// # Errors
 ///
@@ -282,14 +250,19 @@ pub fn leader_election_pooled(
     pool.check_connected(g)?;
     let n = g.n();
     let p_cand = (2.0 * net.log2_n() as f64 / n as f64).min(1.0);
-    // Candidate sampling; the (probability ≤ n^-2) empty draw restarts on
-    // the same derived seed stream the fresh path recurses into.
+    // Step 1: candidates with probability Θ(log n / n); the constant 2 keeps
+    // P[no candidate] ≤ n^-2 while |C| = O(log n) whp. The degenerate empty
+    // draw restarts on the next seed stream, exactly as restarting the
+    // algorithm would.
     let mut cur_seed = seed;
     loop {
         let mut crng = rng::stream_rng(cur_seed, 0xCA4D);
         pool.candidates.clear();
         for v in g.nodes() {
             if crng.gen::<f64>() < p_cand {
+                // Step 2: random Θ(log n)-bit IDs (node id in the low bits
+                // only as a deterministic tiebreaker against measure-zero
+                // collisions).
                 let id: u64 = crng.gen::<u64>() & !0xFFFF_FFFFu64 | v as u64;
                 pool.candidates.push((v, id));
             }
@@ -300,8 +273,7 @@ pub fn leader_election_pooled(
         cur_seed = rng::derive(cur_seed, 0x9999);
     }
     let candidates = std::mem::take(&mut pool.candidates);
-    let report =
-        run_compete_pooled(g, net, &candidates, params, model, cur_seed, faults, engine, pool);
+    let report = run_compete(g, net, &candidates, params, model, cur_seed, faults, engine, pool);
     let target = report.target;
     let mut leader = None;
     let mut winners = 0usize;
@@ -337,13 +309,19 @@ pub fn compete(
     params: &CompeteParams,
     seed: u64,
 ) -> Result<CompeteReport, CompeteError> {
-    validate(g, sources)?;
+    // Validate before the diameter sweep, which needs a connected graph;
+    // the pool's connectivity memo then spares `compete_pooled` a second BFS.
+    let (mut engine, mut pool) = (SimScratch::default(), CompetePool::new());
+    validate_sources(g, sources)?;
+    pool.check_connected(g)?;
     let net = NetParams::new(g.n(), g.diameter_double_sweep());
-    Ok(run_compete(g, net, sources, params, CollisionModel::NoCollisionDetection, seed, None))
+    let nocd = CollisionModel::NoCollisionDetection;
+    compete_pooled(g, net, sources, params, nocd, seed, None, &mut engine, &mut pool)
 }
 
 /// As [`compete`], with explicit [`NetParams`] (the `n` and `D` the model
-/// assumes known to all nodes).
+/// assumes known to all nodes): [`compete_pooled`] on a cold pool, fault-free
+/// and without collision detection.
 ///
 /// # Errors
 ///
@@ -355,50 +333,9 @@ pub fn compete_with_net(
     params: &CompeteParams,
     seed: u64,
 ) -> Result<CompeteReport, CompeteError> {
-    compete_with_model(g, net, sources, params, CollisionModel::NoCollisionDetection, seed)
-}
-
-/// As [`compete_with_net`], with an explicit [`CollisionModel`] — the
-/// full-control entry point used by the scenario registry's collision-model
-/// axis. The algorithm is designed for (and analyzed in) the no-collision-
-/// detection model; running it under [`CollisionModel::CollisionDetection`]
-/// is an ablation (collision notifications are ignored, but the channel
-/// semantics of delivery are identical).
-///
-/// # Errors
-///
-/// [`CompeteError`] on empty/invalid sources or a disconnected graph.
-pub fn compete_with_model(
-    g: &Graph,
-    net: NetParams,
-    sources: &[(NodeId, u64)],
-    params: &CompeteParams,
-    model: CollisionModel,
-    seed: u64,
-) -> Result<CompeteReport, CompeteError> {
-    compete_scheduled(g, net, sources, params, model, seed, None)
-}
-
-/// As [`compete_with_model`], additionally running the channel under an
-/// explicit fault schedule (`None` = fault-free). This is the entry point
-/// the campaign executor's fault axis reaches: the schedule travels by
-/// parameter, never through ambient state, so trials are safe to run from
-/// any worker thread.
-///
-/// # Errors
-///
-/// [`CompeteError`] on empty/invalid sources or a disconnected graph.
-pub fn compete_scheduled(
-    g: &Graph,
-    net: NetParams,
-    sources: &[(NodeId, u64)],
-    params: &CompeteParams,
-    model: CollisionModel,
-    seed: u64,
-    faults: Option<&FaultSchedule>,
-) -> Result<CompeteReport, CompeteError> {
-    validate(g, sources)?;
-    Ok(run_compete(g, net, sources, params, model, seed, faults))
+    let (mut engine, mut pool) = (SimScratch::default(), CompetePool::new());
+    let nocd = CollisionModel::NoCollisionDetection;
+    compete_pooled(g, net, sources, params, nocd, seed, None, &mut engine, &mut pool)
 }
 
 /// Runs **broadcasting** (Theorem 5.1): `Compete({source})`.
@@ -426,14 +363,16 @@ pub fn leader_election(
     params: &CompeteParams,
     seed: u64,
 ) -> Result<LeaderElectionReport, CompeteError> {
-    if !g.is_connected() {
-        return Err(CompeteError::Disconnected);
-    }
+    let (mut engine, mut pool) = (SimScratch::default(), CompetePool::new());
+    pool.check_connected(g)?;
     let net = NetParams::new(g.n(), g.diameter_double_sweep());
-    Ok(run_leader_election(g, net, params, CollisionModel::NoCollisionDetection, seed, None))
+    let nocd = CollisionModel::NoCollisionDetection;
+    leader_election_pooled(g, net, params, nocd, seed, None, &mut engine, &mut pool)
 }
 
-/// As [`leader_election`], with explicit [`NetParams`].
+/// As [`leader_election`], with explicit [`NetParams`]:
+/// [`leader_election_pooled`] on a cold pool, fault-free and without
+/// collision detection.
 ///
 /// # Errors
 ///
@@ -444,84 +383,7 @@ pub fn leader_election_with_net(
     params: &CompeteParams,
     seed: u64,
 ) -> Result<LeaderElectionReport, CompeteError> {
-    leader_election_with_model(g, net, params, CollisionModel::NoCollisionDetection, seed)
-}
-
-/// As [`leader_election_with_net`], with an explicit [`CollisionModel`]
-/// (see [`compete_with_model`] for the semantics of the ablation).
-///
-/// # Errors
-///
-/// [`CompeteError::Disconnected`] on a disconnected graph.
-pub fn leader_election_with_model(
-    g: &Graph,
-    net: NetParams,
-    params: &CompeteParams,
-    model: CollisionModel,
-    seed: u64,
-) -> Result<LeaderElectionReport, CompeteError> {
-    leader_election_scheduled(g, net, params, model, seed, None)
-}
-
-/// As [`leader_election_with_model`], additionally running the channel under
-/// an explicit fault schedule (`None` = fault-free); see
-/// [`compete_scheduled`].
-///
-/// # Errors
-///
-/// [`CompeteError::Disconnected`] on a disconnected graph.
-pub fn leader_election_scheduled(
-    g: &Graph,
-    net: NetParams,
-    params: &CompeteParams,
-    model: CollisionModel,
-    seed: u64,
-    faults: Option<&FaultSchedule>,
-) -> Result<LeaderElectionReport, CompeteError> {
-    if !g.is_connected() {
-        return Err(CompeteError::Disconnected);
-    }
-    Ok(run_leader_election(g, net, params, model, seed, faults))
-}
-
-/// Candidate selection + Compete, after connectivity has been checked once.
-fn run_leader_election(
-    g: &Graph,
-    net: NetParams,
-    params: &CompeteParams,
-    model: CollisionModel,
-    seed: u64,
-    faults: Option<&FaultSchedule>,
-) -> LeaderElectionReport {
-    let n = g.n();
-    // Step 1: candidates with probability Θ(log n / n); the constant 2 keeps
-    // P[no candidate] ≤ n^-2 while |C| = O(log n) whp.
-    let p_cand = (2.0 * net.log2_n() as f64 / n as f64).min(1.0);
-    let mut crng = rng::stream_rng(seed, 0xCA4D);
-    let mut candidates: Vec<(NodeId, u64)> = Vec::new();
-    for v in g.nodes() {
-        if crng.gen::<f64>() < p_cand {
-            // Step 2: random Θ(log n)-bit IDs (node id in the low bits only
-            // as a deterministic tiebreaker against measure-zero collisions).
-            let id: u64 = crng.gen::<u64>() & !0xFFFF_FFFFu64 | v as u64;
-            candidates.push((v, id));
-        }
-    }
-    if candidates.is_empty() {
-        // Degenerate (probability ≤ n^-2): retry with the next seed stream,
-        // exactly as restarting the algorithm would.
-        return run_leader_election(g, net, params, model, rng::derive(seed, 0x9999), faults);
-    }
-    // Candidates are nonempty and in-range by construction, and connectivity
-    // was checked by the caller — run directly, no second validation BFS.
-    let report = run_compete(g, net, &candidates, params, model, seed, faults);
-    let target = report.target;
-    let winners: Vec<NodeId> =
-        candidates.iter().filter(|&&(_, id)| id == target).map(|&(v, _)| v).collect();
-    LeaderElectionReport {
-        compete: report,
-        num_candidates: candidates.len(),
-        leader: winners.first().copied(),
-        unique_winner: winners.len() == 1,
-    }
+    let (mut engine, mut pool) = (SimScratch::default(), CompetePool::new());
+    let nocd = CollisionModel::NoCollisionDetection;
+    leader_election_pooled(g, net, params, nocd, seed, None, &mut engine, &mut pool)
 }

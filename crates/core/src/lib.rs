@@ -56,8 +56,7 @@ mod protocol;
 mod scenario;
 
 pub use api::{
-    broadcast, compete, compete_pooled, compete_scheduled, compete_with_model, compete_with_net,
-    leader_election, leader_election_pooled, leader_election_scheduled, leader_election_with_model,
+    broadcast, compete, compete_pooled, compete_with_net, leader_election, leader_election_pooled,
     leader_election_with_net, CompeteError, CompetePool, CompeteReport, LeaderElectionReport,
 };
 pub use family::{

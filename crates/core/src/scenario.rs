@@ -2,10 +2,7 @@
 //! campaign registry uses to run Compete, broadcasting and leader election
 //! uniformly against any topology and collision model.
 
-use crate::api::{
-    compete_pooled, compete_scheduled, leader_election_pooled, leader_election_scheduled,
-    CompetePool,
-};
+use crate::api::{compete_pooled, leader_election_pooled, CompetePool};
 use crate::params::CompeteParams;
 use rn_graph::{traversal, Graph, NodeId};
 use rn_sim::{rng, CollisionModel, FaultSchedule, NetParams, Runnable, TrialPool, TrialRecord};
@@ -45,19 +42,6 @@ impl BroadcastScenario {
 impl Runnable for BroadcastScenario {
     fn name(&self) -> String {
         self.label.clone()
-    }
-
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
-        let r = compete_scheduled(g, net, &[(0, 1)], &self.params, model, seed, faults)
-            .expect("campaign graphs are connected with an in-range source");
-        TrialRecord::new(r.completed, r.total_rounds, r.metrics)
     }
 
     fn run_trial_pooled(
@@ -274,36 +258,6 @@ impl Runnable for CompeteScenario {
         self.label.clone()
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
-        assert!(
-            self.sources <= g.n(),
-            "compete({}) needs {} distinct sources but the graph has only {} nodes",
-            self.sources,
-            self.sources,
-            g.n()
-        );
-        // Source placement is part of the trial's randomness (for the
-        // randomized policies): distinct nodes, drawn from the trial seed on
-        // a separate stream, holding values 1..=K in placement order.
-        let sources: Vec<(NodeId, u64)> = self
-            .placement
-            .place(g, self.sources, seed)
-            .into_iter()
-            .enumerate()
-            .map(|(k, v)| (v, (k + 1) as u64))
-            .collect();
-        let r = compete_scheduled(g, net, &sources, &self.params, model, seed, faults)
-            .expect("campaign graphs are connected with in-range sources");
-        TrialRecord::new(r.completed, r.total_rounds, r.metrics)
-    }
-
     fn run_trial_pooled(
         &self,
         g: &Graph,
@@ -370,23 +324,6 @@ impl Runnable for LeaderElectionScenario {
         self.label.clone()
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
-        let r = leader_election_scheduled(g, net, &self.params, model, seed, faults)
-            .expect("campaign graphs are connected");
-        TrialRecord::new(
-            r.compete.completed && r.unique_winner,
-            r.compete.total_rounds,
-            r.compete.metrics,
-        )
-    }
-
     fn run_trial_pooled(
         &self,
         g: &Graph,
@@ -411,9 +348,12 @@ impl Runnable for LeaderElectionScenario {
 mod tests {
     use super::*;
     use rn_graph::generators;
+    use rn_sim::testing::cold_trial;
+    use rn_sim::FaultPlan;
 
-    fn net_of(g: &Graph) -> NetParams {
-        NetParams::of_graph(g)
+    /// One fault-free nocd trial on a cold pool.
+    fn trial(s: &dyn Runnable, g: &Graph, seed: u64) -> TrialRecord {
+        cold_trial(s, g, CollisionModel::NoCollisionDetection, seed, &FaultPlan::none())
     }
 
     #[test]
@@ -421,7 +361,7 @@ mod tests {
         let g = generators::grid(8, 8);
         let s = BroadcastScenario::czumaj_davies();
         assert_eq!(s.name(), "broadcast");
-        let r = s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, 3);
+        let r = trial(&s, &g, 3);
         assert!(r.completed);
         assert!(r.rounds > 0);
         assert!(r.metrics.deliveries > 0);
@@ -432,7 +372,7 @@ mod tests {
         let g = generators::grid(8, 8);
         let s = LeaderElectionScenario::new();
         assert_eq!(s.name(), "leader_election");
-        let r = s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, 5);
+        let r = trial(&s, &g, 5);
         assert!(r.completed);
     }
 
@@ -441,8 +381,8 @@ mod tests {
         let g = generators::grid(6, 6);
         let s = CompeteScenario::new(4);
         assert_eq!(s.name(), "compete(4)");
-        let a = s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, 11);
-        let b = s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, 11);
+        let a = trial(&s, &g, 11);
+        let b = trial(&s, &g, 11);
         assert_eq!(a, b, "same seed, same trial");
         assert!(a.completed);
     }
@@ -457,7 +397,7 @@ mod tests {
         let g = generators::grid(3, 3);
         let s = CompeteScenario::new(9);
         for seed in 0..16 {
-            let r = s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, seed);
+            let r = trial(&s, &g, seed);
             assert!(r.completed, "seed {seed}");
         }
     }
@@ -474,7 +414,7 @@ mod tests {
     fn compete_scenario_rejects_more_sources_than_nodes() {
         let g = generators::grid(3, 3);
         let s = CompeteScenario::new(10);
-        s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, 1);
+        trial(&s, &g, 1);
     }
 
     #[test]
@@ -555,8 +495,8 @@ mod tests {
                 CompeteParams::default(),
                 format!("compete(4,{placement})"),
             );
-            let a = s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, 11);
-            let b = s.run_trial(&g, net_of(&g), CollisionModel::NoCollisionDetection, 11);
+            let a = trial(&s, &g, 11);
+            let b = trial(&s, &g, 11);
             assert_eq!(a, b, "{placement}: same seed, same trial");
             assert!(a.completed, "{placement}: completes on grid-6x6");
         }
@@ -565,7 +505,7 @@ mod tests {
     #[test]
     fn pooled_trials_match_fresh_trials_exactly() {
         // One TrialPool carried across scenarios, graphs, models and seeds:
-        // every pooled record must equal the fresh-path record bit for bit.
+        // every record must equal the same trial on a cold pool bit for bit.
         let graphs = [generators::grid(8, 8), generators::path(60)];
         let scenarios: Vec<Box<dyn Runnable>> = vec![
             Box::new(BroadcastScenario::czumaj_davies()),
@@ -574,15 +514,15 @@ mod tests {
         ];
         let mut pool = TrialPool::new();
         for g in &graphs {
-            let net = net_of(g);
+            let net = NetParams::of_graph(g);
             for s in &scenarios {
                 for model in
                     [CollisionModel::NoCollisionDetection, CollisionModel::CollisionDetection]
                 {
                     for seed in 0..2u64 {
-                        let fresh = s.run_trial_scheduled(g, net, model, seed, None);
-                        let pooled = s.run_trial_pooled(g, net, model, seed, None, &mut pool);
-                        assert_eq!(fresh, pooled, "{} seed {seed}", s.name());
+                        let cold = cold_trial(&**s, g, model, seed, &FaultPlan::none());
+                        let carried = s.run_trial_pooled(g, net, model, seed, None, &mut pool);
+                        assert_eq!(cold, carried, "{} seed {seed}", s.name());
                     }
                 }
             }
@@ -591,36 +531,16 @@ mod tests {
 
     #[test]
     fn broadcast_scenario_degrades_gracefully_under_faults() {
-        use rn_sim::FaultPlan;
         // The paper's broadcast run under the uniform fault seam: with every
         // non-source node jamming at probability 1, nothing can spread — and
         // the trial must report that honestly rather than complete falsely.
         let g = generators::grid(4, 4);
         let s = BroadcastScenario::czumaj_davies();
-        let r = s.run_trial_under_faults(
-            &g,
-            net_of(&g),
-            CollisionModel::NoCollisionDetection,
-            3,
-            &FaultPlan::jam(16, 1.0),
-        );
+        let nocd = CollisionModel::NoCollisionDetection;
+        let r = cold_trial(&s, &g, nocd, 3, &FaultPlan::jam(16, 1.0));
         assert!(!r.completed, "no false completion under total jamming");
         // A mild fault plan still runs deterministically.
         let plan = FaultPlan::jam(2, 0.3);
-        let a = s.run_trial_under_faults(
-            &g,
-            net_of(&g),
-            CollisionModel::NoCollisionDetection,
-            3,
-            &plan,
-        );
-        let b = s.run_trial_under_faults(
-            &g,
-            net_of(&g),
-            CollisionModel::NoCollisionDetection,
-            3,
-            &plan,
-        );
-        assert_eq!(a, b);
+        assert_eq!(cold_trial(&s, &g, nocd, 3, &plan), cold_trial(&s, &g, nocd, 3, &plan));
     }
 }

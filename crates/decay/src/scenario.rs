@@ -61,14 +61,9 @@ impl DecayScenario {
         self
     }
 
-    /// Evenly spaced source placement (deterministic in the graph size).
-    fn place_sources(&self, n: usize) -> Vec<(NodeId, u64)> {
-        let k = self.sources.min(n);
-        (0..k).map(|i| (((i * n) / k) as NodeId, (i + 1) as u64)).collect()
-    }
-
-    /// [`DecayScenario::place_sources`] into a pooled buffer.
-    fn place_sources_into(&self, n: usize, out: &mut Vec<(NodeId, u64)>) {
+    /// Evenly spaced source placement (deterministic in the graph size),
+    /// into a pooled buffer.
+    fn place_sources(&self, n: usize, out: &mut Vec<(NodeId, u64)>) {
         let k = self.sources.min(n);
         out.clear();
         out.extend((0..k).map(|i| (((i * n) / k) as NodeId, (i + 1) as u64)));
@@ -91,29 +86,6 @@ impl Runnable for DecayScenario {
         self.label.clone()
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
-        let sources = self.place_sources(g.n());
-        let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
-        if self.truncated {
-            let mut p = TruncatedDecayBroadcast::with_coin_sampler(net, &sources, seed, self.coins);
-            let stats =
-                sim.run_until(&mut p, net.decay_broadcast_budget(), |_, p| p.all_informed());
-            TrialRecord::new(p.all_informed(), stats.rounds, stats.metrics)
-        } else {
-            let mut p = DecayBroadcast::with_coin_sampler(net, &sources, seed, self.coins);
-            let stats =
-                sim.run_until(&mut p, net.decay_broadcast_budget(), |_, p| p.all_informed());
-            TrialRecord::new(p.all_informed(), stats.rounds, stats.metrics)
-        }
-    }
-
     fn run_trial_pooled(
         &self,
         g: &Graph,
@@ -124,7 +96,7 @@ impl Runnable for DecayScenario {
         pool: &mut TrialPool,
     ) -> TrialRecord {
         let (engine, st) = pool.parts(DecayPool::default);
-        self.place_sources_into(g.n(), &mut st.sources);
+        self.place_sources(g.n(), &mut st.sources);
         st.tx.clear();
         st.tx.reserve(g.n());
         let mut sim = Simulator::reuse(engine, g, model, seed, faults.cloned());
@@ -212,43 +184,6 @@ impl Runnable for CdDecayScenario {
         CollisionModel::CollisionDetection
     }
 
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord {
-        assert!(
-            self.sources <= g.n(),
-            "compete_cd({}) needs {} distinct sources but the graph has only {} nodes",
-            self.sources,
-            self.sources,
-            g.n()
-        );
-        // Placement mirrors compete(K): distinct uniform nodes from a
-        // dedicated stream of the trial seed, values 1..=K in draw order —
-        // except broadcast_cd, which pins node 0 so its cells compare
-        // directly with broadcast/bgi.
-        let sources: Vec<(NodeId, u64)> = if self.fixed_origin {
-            vec![(0, 1)]
-        } else {
-            let mut srng = rng::stream_rng(seed, 0x50C);
-            rng::sample_distinct(&mut srng, self.sources, g.n())
-                .into_iter()
-                .enumerate()
-                .map(|(k, v)| (v as NodeId, (k + 1) as u64))
-                .collect()
-        };
-        let target = sources.iter().map(|&(_, v)| v).max().expect("at least one source");
-        let mut p = LayeredDecayCd::new(net, &sources, seed);
-        let budget = p.budget();
-        let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
-        let stats = sim.run_until(&mut p, budget, |_, p| p.all_know_at_least(target));
-        TrialRecord::new(p.all_know_at_least(target), stats.rounds, stats.metrics)
-    }
-
     fn run_trial_pooled(
         &self,
         g: &Graph,
@@ -270,8 +205,11 @@ impl Runnable for CdDecayScenario {
         if self.fixed_origin {
             st.sources.push((0, 1));
         } else {
-            // Draw-identical to `sample_distinct`, but into the pooled
-            // index buffer: steady-state placement stays off the heap.
+            // Placement mirrors compete(K): distinct uniform nodes from a
+            // dedicated stream of the trial seed, values 1..=K in draw
+            // order, drawn into the pooled index buffer so steady-state
+            // placement stays off the heap. broadcast_cd pins node 0 so its
+            // cells compare directly with broadcast/bgi.
             let mut srng = rng::stream_rng(seed, 0x50C);
             rng::sample_distinct_into(&mut srng, self.sources, g.n(), &mut st.place_idx);
             st.sources.extend(
@@ -307,83 +245,71 @@ struct CdDecayPool {
 mod tests {
     use super::*;
     use rn_graph::generators;
+    use rn_sim::testing::cold_trial;
+    use rn_sim::FaultPlan;
+
+    const NOCD: CollisionModel = CollisionModel::NoCollisionDetection;
+    const CD: CollisionModel = CollisionModel::CollisionDetection;
 
     #[test]
     fn decay_scenario_completes_and_names_stably() {
         let g = generators::grid(10, 10);
-        let net = NetParams::of_graph(&g);
         let plain = DecayScenario::new(4);
         assert_eq!(plain.name(), "decay(4)");
-        let r = plain.run_trial(&g, net, CollisionModel::NoCollisionDetection, 3);
+        let r = cold_trial(&plain, &g, NOCD, 3, &FaultPlan::none());
         assert!(r.completed);
         assert!(r.metrics.deliveries > 0);
 
         let trunc = DecayScenario::truncated(2);
         assert_eq!(trunc.name(), "decay_trunc(2)");
-        let r = trunc.run_trial(&g, net, CollisionModel::NoCollisionDetection, 3);
+        let r = cold_trial(&trunc, &g, NOCD, 3, &FaultPlan::none());
         assert!(r.completed);
     }
 
     #[test]
     fn decay_scenario_runs_under_faults_without_scenario_code() {
-        use rn_sim::FaultPlan;
         let g = generators::grid(6, 6);
-        let net = NetParams::of_graph(&g);
         let s = DecayScenario::new(2);
         // Total jamming: decay cannot inform anyone beyond the sources.
-        let r = s.run_trial_under_faults(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            3,
-            &FaultPlan::jam(36, 1.0),
-        );
+        let r = cold_trial(&s, &g, NOCD, 3, &FaultPlan::jam(36, 1.0));
         assert!(!r.completed, "no false completion under total jamming");
         assert_eq!(r.metrics.deliveries, 0, "noise is not a delivery");
         // A faulted trial is a pure function of (seed, plan).
         let plan = FaultPlan::try_new(3, 0.5, 0.02, 0.0).expect("valid plan");
-        let a = s.run_trial_under_faults(&g, net, CollisionModel::NoCollisionDetection, 3, &plan);
-        let b = s.run_trial_under_faults(&g, net, CollisionModel::NoCollisionDetection, 3, &plan);
-        assert_eq!(a, b);
+        assert_eq!(cold_trial(&s, &g, NOCD, 3, &plan), cold_trial(&s, &g, NOCD, 3, &plan));
     }
 
     #[test]
     fn cd_scenarios_complete_under_the_pinned_cd_model() {
         let g = generators::grid(8, 8);
-        let net = NetParams::of_graph(&g);
         let b = CdDecayScenario::broadcast();
         assert_eq!(b.name(), "broadcast_cd");
         // The axis may request nocd; the scenario pins CD.
         let model = b.effective_model(CollisionModel::NoCollisionDetection);
         assert_eq!(model, CollisionModel::CollisionDetection);
-        let r = b.run_trial(&g, net, model, 3);
+        let r = cold_trial(&b, &g, model, 3, &FaultPlan::none());
         assert!(r.completed, "broadcast_cd completes on grid-8x8");
         assert!(r.metrics.deliveries > 0);
 
         let c = CdDecayScenario::compete(4);
         assert_eq!(c.name(), "compete_cd(4)");
-        let a = c.run_trial(&g, net, model, 9);
-        let again = c.run_trial(&g, net, model, 9);
+        let a = cold_trial(&c, &g, model, 9, &FaultPlan::none());
+        let again = cold_trial(&c, &g, model, 9, &FaultPlan::none());
         assert_eq!(a, again, "same seed, same trial");
         assert!(a.completed, "compete_cd(4) completes on grid-8x8");
     }
 
     #[test]
     fn cd_scenario_degrades_honestly_under_faults() {
-        use rn_sim::FaultPlan;
         let g = generators::grid(6, 6);
-        let net = NetParams::of_graph(&g);
         let s = CdDecayScenario::broadcast();
-        let model = CollisionModel::CollisionDetection;
         // Crash-stop everyone almost immediately: the wave dies, nothing
         // completes — and the trial reports that honestly.
-        let r = s.run_trial_under_faults(&g, net, model, 3, &FaultPlan::crash(0.9));
+        let r = cold_trial(&s, &g, CD, 3, &FaultPlan::crash(0.9));
         assert!(!r.completed, "no false completion when the network crash-stops");
         // A mild crash plan is deterministic in (seed, plan).
         let plan = FaultPlan::crash(0.001);
-        let a = s.run_trial_under_faults(&g, net, model, 3, &plan);
-        let b = s.run_trial_under_faults(&g, net, model, 3, &plan);
-        assert_eq!(a, b);
+        assert_eq!(cold_trial(&s, &g, CD, 3, &plan), cold_trial(&s, &g, CD, 3, &plan));
     }
 
     #[test]
@@ -398,11 +324,10 @@ mod tests {
         // And it is a genuinely different workload: on a path, the trial
         // stream differs from the node-0-pinned broadcast for some seed.
         let g = generators::path(40);
-        let net = NetParams::of_graph(&g);
-        let model = CollisionModel::CollisionDetection;
+        let broadcast = CdDecayScenario::broadcast();
         let differs = (0..8).any(|seed| {
-            one.run_trial(&g, net, model, seed)
-                != CdDecayScenario::broadcast().run_trial(&g, net, model, seed)
+            cold_trial(&one, &g, CD, seed, &FaultPlan::none())
+                != cold_trial(&broadcast, &g, CD, seed, &FaultPlan::none())
         });
         assert!(differs, "random placement must not collapse onto node 0 for every seed");
     }
@@ -416,60 +341,38 @@ mod tests {
     #[test]
     fn pooled_trials_match_fresh_trials_exactly() {
         // One pool survives scenario-type switches (the slot re-creates on
-        // downcast mismatch) and graph-size switches (every reset re-sizes);
-        // pooling must move allocations, never results.
+        // downcast mismatch), graph-size switches (every reset re-sizes) and
+        // fault plans; every record equals the same trial on a cold pool.
         let graphs = [generators::grid(8, 8), generators::path(50)];
+        let plans = [FaultPlan::none(), FaultPlan::try_new(2, 0.3, 0.02, 0.01).expect("valid")];
+        let scenarios: [(&dyn Runnable, CollisionModel); 4] = [
+            (&DecayScenario::new(4), NOCD),
+            (&DecayScenario::truncated(2), NOCD),
+            (&CdDecayScenario::broadcast(), CD),
+            (&CdDecayScenario::compete(3), CD),
+        ];
         let mut pool = TrialPool::new();
-        for s in [DecayScenario::new(4), DecayScenario::truncated(2)] {
+        for (s, model) in scenarios {
             for g in &graphs {
                 let net = NetParams::of_graph(g);
-                let model = CollisionModel::NoCollisionDetection;
-                for seed in 0..4 {
-                    let fresh = s.run_trial(g, net, model, seed);
-                    let pooled = s.run_trial_pooled(g, net, model, seed, None, &mut pool);
-                    assert_eq!(fresh, pooled, "{} n={} seed {seed}", s.name(), g.n());
+                for plan in &plans {
+                    for seed in 0..4 {
+                        let cold = cold_trial(s, g, model, seed, plan);
+                        let faults = plan.schedule_for(g.n(), seed);
+                        let carried =
+                            s.run_trial_pooled(g, net, model, seed, faults.as_ref(), &mut pool);
+                        assert_eq!(cold, carried, "{} n={} {plan} seed {seed}", s.name(), g.n());
+                    }
                 }
             }
         }
-        for s in [CdDecayScenario::broadcast(), CdDecayScenario::compete(3)] {
-            for g in &graphs {
-                let net = NetParams::of_graph(g);
-                let model = CollisionModel::CollisionDetection;
-                for seed in 0..4 {
-                    let fresh = s.run_trial(g, net, model, seed);
-                    let pooled = s.run_trial_pooled(g, net, model, seed, None, &mut pool);
-                    assert_eq!(fresh, pooled, "{} n={} seed {seed}", s.name(), g.n());
-                }
-            }
-        }
-        // Faulted trials reuse the pool identically.
-        let g = generators::grid(6, 6);
-        let net = NetParams::of_graph(&g);
-        let s = DecayScenario::new(2);
-        let schedule =
-            rn_sim::FaultPlan::try_new(2, 0.3, 0.02, 0.01).expect("valid plan").resolve(g.n(), 99);
-        let fresh = s.run_trial_scheduled(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            5,
-            Some(&schedule),
-        );
-        let pooled = s.run_trial_pooled(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            5,
-            Some(&schedule),
-            &mut pool,
-        );
-        assert_eq!(fresh, pooled, "pooled faulted trial replays the scheduled one");
     }
 
     #[test]
     fn sources_are_clamped_to_graph_size() {
         let s = DecayScenario::new(100);
-        let placed = s.place_sources(10);
+        let mut placed = Vec::new();
+        s.place_sources(10, &mut placed);
         assert_eq!(placed.len(), 10);
         assert!(placed.iter().all(|&(v, _)| (v as usize) < 10));
         // Distinct placements.

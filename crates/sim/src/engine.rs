@@ -332,10 +332,11 @@ impl<'g> Simulator<'g> {
     }
 
     /// As [`Simulator::new`], with an explicit fault schedule (`None` runs
-    /// fault-free). This is the constructor scenario implementations use to
-    /// honor the schedule [`crate::Runnable::run_trial_scheduled`] hands
-    /// them — fault injection is plain parameter passing, safe to drive from
-    /// any worker thread.
+    /// fault-free) — fault injection is plain parameter passing, safe to
+    /// drive from any worker thread. This is [`Simulator::reuse`] on a new
+    /// [`SimScratch`]: one-off runs use it, while scenario trials
+    /// ([`crate::Runnable::run_trial_pooled`]) hand the schedule to
+    /// `reuse` on their pool's engine scratch.
     ///
     /// # Panics
     ///

@@ -24,11 +24,11 @@
 //!
 //! The engine receives its schedule **explicitly**: either at construction
 //! via [`crate::Simulator::with_faults`] or afterwards via
-//! [`crate::Simulator::set_faults`]. Scenario implementations accept an
-//! `Option<&FaultSchedule>` in
-//! [`crate::Runnable::run_trial_scheduled`] and hand it to every simulator
-//! they build, so the campaign executor can run trials from any worker
-//! thread without ambient (thread-local) state. `FaultSchedule` is plain
+//! [`crate::Simulator::set_faults`]. A trial's schedule comes from
+//! [`FaultPlan::schedule_for`]; scenario implementations accept it as an
+//! `Option<&FaultSchedule>` in [`crate::Runnable::run_trial_pooled`] and
+//! hand it to every simulator they build, so the campaign executor can run
+//! trials from any worker thread without ambient (thread-local) state. `FaultSchedule` is plain
 //! data — `Send + Sync` — and cheap to clone.
 //!
 //! Fault semantics in detail:
@@ -176,6 +176,18 @@ impl FaultPlan {
     /// Per-round per-node crash-stop probability.
     pub fn crash_prob(&self) -> f64 {
         self.crash_prob
+    }
+
+    /// The schedule a trial with seed `trial_seed` runs under on an
+    /// `n`-node graph, or `None` for a fault-free plan. Jammer placement is
+    /// part of the trial's randomness: it draws from the trial seed's
+    /// `0xFA17` stream, so a `(plan, seed)` pair pins the schedule.
+    ///
+    /// # Panics
+    ///
+    /// As [`FaultPlan::resolve`].
+    pub fn schedule_for(&self, n: usize, trial_seed: u64) -> Option<FaultSchedule> {
+        (!self.is_none()).then(|| self.resolve(n, rng::derive(trial_seed, 0xFA17)))
     }
 
     /// Resolves the plan against an `n`-node graph: samples the distinct
@@ -627,6 +639,17 @@ mod tests {
         // Deterministic in the seed, sensitive to it.
         assert_eq!(plan.resolve(12, 99), s);
         assert_ne!(plan.resolve(12, 100).jammer_ids(), s.jammer_ids());
+    }
+
+    #[test]
+    fn schedule_for_resolves_on_the_trial_seeds_fault_stream() {
+        // Faulted campaign records are pinned to this stream: a trial with
+        // seed s runs under `resolve(n, derive(s, 0xFA17))`.
+        assert_eq!(FaultPlan::none().schedule_for(12, 7), None);
+        for plan in [FaultPlan::jam(3, 0.5), FaultPlan::drop(0.1), FaultPlan::crash(0.01)] {
+            let expected = plan.resolve(12, rng::derive(7, 0xFA17));
+            assert_eq!(plan.schedule_for(12, 7), Some(expected), "{plan}");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! An orthogonal **fault axis** (adversarial jammers, per-round node
 //! dropout) can be imposed on any protocol at the channel level — see
-//! [`faults`] and [`Runnable::run_trial_under_faults`].
+//! [`faults`] and [`FaultPlan::schedule_for`].
 //!
 //! Algorithms implement the [`Protocol`] trait and are executed by
 //! [`Simulator::run`]. Protocols only ever see the knowledge the model grants

@@ -13,20 +13,22 @@
 //! registry.
 
 use crate::engine::SimScratch;
-use crate::faults::{FaultPlan, FaultSchedule};
-use crate::{rng, CollisionModel, Metrics, NetParams};
+use crate::faults::FaultSchedule;
+use crate::{CollisionModel, Metrics, NetParams};
 use rn_graph::Graph;
 use std::any::Any;
 
 /// Per-worker reusable trial state: one [`SimScratch`] of engine scratch
 /// plus one type-erased slot for whatever protocol/scenario state the
-/// scenario's [`Runnable::run_trial_pooled`] override wants to carry across
-/// trials (protocol bitsets, value vectors, transmission buffers, …).
+/// scenario's [`Runnable::run_trial_pooled`] wants to carry across trials
+/// (protocol bitsets, value vectors, transmission buffers, …).
 ///
 /// Campaign executors keep one pool per `(worker, topology, protocol)` so a
 /// multi-trial cell allocates its state once and every further trial runs
-/// allocation-free. The pool is plain data — dropping it is always safe,
-/// and a scenario that ignores it just runs the fresh path.
+/// allocation-free. A one-off trial passes [`TrialPool::new`]: a cold pool's
+/// first trial builds its state with the constructors, a warm pool resets
+/// it, and the record is the same either way. The pool is plain data —
+/// dropping it is always safe.
 #[derive(Debug, Default)]
 pub struct TrialPool {
     engine: SimScratch,
@@ -93,10 +95,10 @@ impl TrialRecord {
 /// runnable on any graph under any collision model.
 ///
 /// Implementations must be cheap to construct and reusable across trials —
-/// `run_trial` takes `&self` and is called concurrently from the campaign
-/// runner's worker threads (hence the `Send + Sync` supertraits). All
-/// randomness must derive from the passed `seed` so a `(scenario, graph,
-/// model, seed)` tuple pins the trial exactly.
+/// [`Runnable::run_trial_pooled`] takes `&self` and is called concurrently
+/// from the campaign runner's worker threads (hence the `Send + Sync`
+/// supertraits). All randomness must derive from the passed `seed` so a
+/// `(scenario, graph, model, seed, faults)` tuple pins the trial exactly.
 pub trait Runnable: Send + Sync {
     /// The scenario's stable registry name (e.g. `"leader_election"`,
     /// `"binsearch_le(bgi)"`). Used in tables, JSON results and CLI specs.
@@ -111,36 +113,23 @@ pub trait Runnable: Send + Sync {
         requested
     }
 
-    /// Runs one trial of the scenario on `g` under an optional fault
-    /// schedule — the single required execution method.
+    /// Runs one trial of the scenario on `g` — the single trial method.
     ///
     /// `net` carries the `n`/`D` knowledge the model grants every node
     /// (callers typically derive it from `g`); `model` selects the collision
     /// semantics the channel enforces and is always the value
     /// [`Runnable::effective_model`] mapped the caller's request to.
+    /// `faults` is the trial's schedule from [`FaultPlan::schedule_for`]
+    /// (`None` = fault-free); implementations hand it to every
+    /// [`crate::Simulator`] they build — fault injection is explicit
+    /// parameter passing, never ambient state.
     ///
-    /// Implementations must hand `faults` to every [`crate::Simulator`] they
-    /// construct (via [`crate::Simulator::with_faults`]) — fault injection is
-    /// explicit parameter passing, never ambient state, so trials can run
-    /// from any executor worker thread.
-    fn run_trial_scheduled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        faults: Option<&FaultSchedule>,
-    ) -> TrialRecord;
-
-    /// Runs one trial reusing a caller's [`TrialPool`] — the steady-state
-    /// entry point campaign executors call when they hold one pool per
-    /// `(worker, topology, protocol)`.
+    /// Scenario state lives in `pool` (see [`TrialPool`]): the record must
+    /// not depend on what the pool held before, so a cold pool and one
+    /// carried across any other trials give byte-identical records.
+    /// Scenarios with nothing to carry ignore the pool.
     ///
-    /// Overrides **must** produce a [`TrialRecord`] byte-identical to
-    /// [`Runnable::run_trial_scheduled`] for every `(graph, net, model,
-    /// seed, faults)` tuple — pooling moves allocations, never results. The
-    /// default ignores the pool and runs the fresh path, so scenarios adopt
-    /// pooling incrementally.
+    /// [`FaultPlan::schedule_for`]: crate::FaultPlan::schedule_for
     fn run_trial_pooled(
         &self,
         g: &Graph,
@@ -149,65 +138,7 @@ pub trait Runnable: Send + Sync {
         seed: u64,
         faults: Option<&FaultSchedule>,
         pool: &mut TrialPool,
-    ) -> TrialRecord {
-        let _ = pool;
-        self.run_trial_scheduled(g, net, model, seed, faults)
-    }
-
-    /// Runs one fault-free trial: [`Runnable::run_trial_scheduled`] with no
-    /// schedule.
-    fn run_trial(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-    ) -> TrialRecord {
-        self.run_trial_scheduled(g, net, model, seed, None)
-    }
-
-    /// Runs one trial under a declarative fault plan (jammers / per-round
-    /// dropout).
-    ///
-    /// This provided method is the uniform fault-injection seam: it resolves
-    /// `plan` against the graph (jammer placement derives from the trial
-    /// seed, so it is part of trial randomness) and passes the resulting
-    /// [`crate::FaultSchedule`] explicitly into
-    /// [`Runnable::run_trial_scheduled`]. No scenario implements anything
-    /// fault-specific. A fault-free plan is exactly [`Runnable::run_trial`].
-    fn run_trial_under_faults(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> TrialRecord {
-        if plan.is_none() {
-            return self.run_trial(g, net, model, seed);
-        }
-        let schedule = plan.resolve(g.n(), rng::derive(seed, 0xFA17));
-        self.run_trial_scheduled(g, net, model, seed, Some(&schedule))
-    }
-
-    /// [`Runnable::run_trial_under_faults`] through the pooled trial path —
-    /// identical fault resolution, records byte-identical to the fresh
-    /// method; the campaign executor's per-worker entry point.
-    fn run_trial_under_faults_pooled(
-        &self,
-        g: &Graph,
-        net: NetParams,
-        model: CollisionModel,
-        seed: u64,
-        plan: &FaultPlan,
-        pool: &mut TrialPool,
-    ) -> TrialRecord {
-        if plan.is_none() {
-            return self.run_trial_pooled(g, net, model, seed, None, pool);
-        }
-        let schedule = plan.resolve(g.n(), rng::derive(seed, 0xFA17));
-        self.run_trial_pooled(g, net, model, seed, Some(&schedule), pool)
-    }
+    ) -> TrialRecord;
 }
 
 // Campaign executors move boxed scenarios across worker threads; this fails
@@ -220,11 +151,13 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::NaiveFlood;
+    use crate::faults::FaultPlan;
+    use crate::testing::{cold_trial, NaiveFlood};
     use crate::Simulator;
     use rn_graph::generators;
 
-    /// A minimal in-crate Runnable over the testing flood protocol.
+    /// A minimal in-crate Runnable over the testing flood protocol; it
+    /// carries no state, so it ignores the pool.
     struct FloodScenario;
 
     impl Runnable for FloodScenario {
@@ -232,13 +165,14 @@ mod tests {
             "naive_flood".into()
         }
 
-        fn run_trial_scheduled(
+        fn run_trial_pooled(
             &self,
             g: &Graph,
             net: NetParams,
             model: CollisionModel,
             seed: u64,
             faults: Option<&FaultSchedule>,
+            _pool: &mut TrialPool,
         ) -> TrialRecord {
             let mut p = NaiveFlood::new(g.n(), 0);
             let mut sim = Simulator::with_faults(g, model, seed, faults.cloned());
@@ -250,51 +184,29 @@ mod tests {
     #[test]
     fn runnable_objects_are_usable_through_dyn() {
         let g = generators::path(8);
-        let net = NetParams::of_graph(&g);
         let scenario: Box<dyn Runnable> = Box::new(FloodScenario);
         assert_eq!(scenario.name(), "naive_flood");
         // A path floods fine (each frontier node is alone); a record with
         // metrics comes back.
-        let r = scenario.run_trial(&g, net, CollisionModel::NoCollisionDetection, 1);
+        let nocd = CollisionModel::NoCollisionDetection;
+        let r = cold_trial(&*scenario, &g, nocd, 1, &FaultPlan::none());
         assert!(r.completed);
         assert!(r.rounds > 0);
         assert!(r.metrics.deliveries > 0);
     }
 
     #[test]
-    fn run_trial_under_faults_defaults_to_plain_and_degrades_under_jam() {
-        use crate::faults::FaultPlan;
+    fn fault_free_plan_has_no_schedule_and_jam_degrades() {
         let g = generators::path(12);
-        let net = NetParams::of_graph(&g);
-        let scenario = FloodScenario;
-        let plain = scenario.run_trial(&g, net, CollisionModel::NoCollisionDetection, 1);
-        let none = scenario.run_trial_under_faults(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            1,
-            &FaultPlan::none(),
-        );
-        assert_eq!(plain, none, "a fault-free plan is exactly run_trial");
+        let nocd = CollisionModel::NoCollisionDetection;
+        assert!(FaultPlan::none().schedule_for(g.n(), 1).is_none());
         // Half the path jamming at probability 1 makes completion
         // impossible: every non-source segment is fenced off eventually.
-        let jammed = scenario.run_trial_under_faults(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            1,
-            &FaultPlan::jam(12, 1.0),
-        );
+        let jam = FaultPlan::jam(12, 1.0);
+        let jammed = cold_trial(&FloodScenario, &g, nocd, 1, &jam);
         assert!(!jammed.completed, "no false completion when every node jams");
         // Determinism: the same (seed, plan) reproduces the trial exactly.
-        let again = scenario.run_trial_under_faults(
-            &g,
-            net,
-            CollisionModel::NoCollisionDetection,
-            1,
-            &FaultPlan::jam(12, 1.0),
-        );
-        assert_eq!(jammed, again);
+        assert_eq!(jammed, cold_trial(&FloodScenario, &g, nocd, 1, &jam));
     }
 
     #[test]

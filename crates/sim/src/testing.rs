@@ -11,8 +11,9 @@
 //! channel configurations (who transmits when) and observe exact outcomes.
 
 use crate::engine::{CollisionModel, Metrics, RoundView};
-use crate::faults::FaultSchedule;
+use crate::faults::{FaultPlan, FaultSchedule};
 use crate::protocol::{Protocol, Round, TxBuf};
+use crate::{NetParams, Runnable, TrialPool, TrialRecord};
 use rn_graph::{Graph, NodeId};
 
 /// One protocol callback the specification expects, in engine order.
@@ -472,6 +473,21 @@ impl Protocol for NaiveFlood {
             *slot = Some(round + 1);
         }
     }
+}
+
+/// One trial of `scenario` on `g` on a cold [`TrialPool`], with `net`
+/// taken from the graph and `plan` resolved by [`FaultPlan::schedule_for`]
+/// as the campaign executor resolves it — the shorthand scenario tests use.
+pub fn cold_trial(
+    scenario: &dyn Runnable,
+    g: &Graph,
+    model: CollisionModel,
+    seed: u64,
+    plan: &FaultPlan,
+) -> TrialRecord {
+    let schedule = plan.schedule_for(g.n(), seed);
+    let net = NetParams::of_graph(g);
+    scenario.run_trial_pooled(g, net, model, seed, schedule.as_ref(), &mut TrialPool::new())
 }
 
 #[cfg(test)]
