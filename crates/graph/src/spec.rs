@@ -23,7 +23,7 @@
 //! ```
 
 use crate::generators;
-use crate::graph::Graph;
+use crate::graph::{Graph, INVALID_NODE};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::error::Error;
@@ -196,7 +196,9 @@ impl TopologySpec {
     /// The exact number of nodes the built graph will have — known
     /// statically for every family (randomness only affects edges), so
     /// protocol preconditions like "K sources need K nodes" can be checked
-    /// at spec-parse time, before anything is built.
+    /// at spec-parse time, before anything is built. Saturates at
+    /// `usize::MAX` instead of overflowing; parsed specs are always below
+    /// [`crate::INVALID_NODE`].
     pub fn nodes(&self) -> usize {
         match *self {
             TopologySpec::Path(n)
@@ -210,12 +212,16 @@ impl TopologySpec {
             TopologySpec::Hypercube(d) => 1usize << d,
             TopologySpec::Grid { w, h }
             | TopologySpec::Torus { w, h }
-            | TopologySpec::GridChords { w, h, .. } => w * h,
-            TopologySpec::Caterpillar { spine, legs } => spine * (1 + legs),
-            TopologySpec::Barbell { clique, bridge } => 2 * clique + bridge,
-            TopologySpec::Lollipop { clique, tail } => clique + tail,
-            TopologySpec::RingOfCliques { cliques, size } => cliques * size,
-            TopologySpec::ClusterChain { cliques, blob, .. } => cliques * blob,
+            | TopologySpec::GridChords { w, h, .. } => w.saturating_mul(h),
+            TopologySpec::Caterpillar { spine, legs } => {
+                spine.saturating_mul(legs.saturating_add(1))
+            }
+            TopologySpec::Barbell { clique, bridge } => {
+                clique.saturating_mul(2).saturating_add(bridge)
+            }
+            TopologySpec::Lollipop { clique, tail } => clique.saturating_add(tail),
+            TopologySpec::RingOfCliques { cliques, size } => cliques.saturating_mul(size),
+            TopologySpec::ClusterChain { cliques, blob, .. } => cliques.saturating_mul(blob),
         }
     }
 
@@ -435,6 +441,14 @@ impl FromStr for TopologySpec {
                 )))
             }
         };
+        // Node ids are u32 with `INVALID_NODE` reserved; reject before a
+        // generator builds an edge list for a graph that cannot exist.
+        if spec.nodes() >= INVALID_NODE as usize {
+            return Err(TopologySpecError::new(format!(
+                "{family}: {s:?} needs more nodes than a graph can hold (at most {})",
+                INVALID_NODE - 1
+            )));
+        }
         Ok(spec)
     }
 }
@@ -562,9 +576,17 @@ mod tests {
             "gnp(10,1.5)",
             "cluster_chain(2,5,nan)",
             "path(x)",
+            // Node counts a Graph cannot hold (ids are u32, u32::MAX reserved).
+            "path(4294967295)",
+            "grid(4294967296x4294967296)",
+            "ring_of_cliques(4294967296,4294967296)",
         ] {
             assert!(bad.parse::<TopologySpec>().is_err(), "{bad:?} must be rejected");
         }
+        // The largest node count that fits parses (nothing is built here).
+        let largest: TopologySpec = "path(4294967294)".parse().expect("largest count parses");
+        assert_eq!(largest.nodes(), 4294967294);
+        assert_eq!(TopologySpec::Grid { w: usize::MAX, h: 2 }.nodes(), usize::MAX, "saturates");
     }
 
     #[test]
