@@ -40,8 +40,9 @@ pub enum CdMsg {
     Value(u64, u32),
 }
 
-/// The beep-wave assisted layered decay protocol. See the [module
-/// docs](self).
+/// The beep-wave assisted layered decay protocol: a beep wave labels every
+/// node with its layer (distance to the nearest source), then decay runs
+/// time-sliced by layer mod 3 so adjacent layers never collide.
 #[derive(Debug)]
 pub struct LayeredDecayCd {
     net: NetParams,

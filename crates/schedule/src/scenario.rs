@@ -58,8 +58,9 @@ impl ScheduleOp {
 /// Default clustering parameter when the spec elides it.
 pub const DEFAULT_SCHEDULE_BETA: f64 = 0.25;
 
-/// One Downcast/Upcast pass over a fresh per-trial Partition(β). See the
-/// [module docs](self).
+/// One Downcast/Upcast pass over a fresh per-trial Partition(β);
+/// `completed` reports whether the pass met the simultaneous-clusters
+/// contract of Lemma 2.3.
 #[derive(Debug, Clone)]
 pub struct ScheduleScenario {
     /// The executor under measurement.
