@@ -127,8 +127,8 @@ impl Runnable for BinarySearchLeScenario {
         }
     }
 
-    /// Keeps no pooled state: each probe phase builds its own protocol and
-    /// simulator, so the pool goes unused.
+    /// Keeps no pooled state: each probe phase builds its own protocol, so
+    /// the pool goes unused.
     fn run_trial_pooled(
         &self,
         g: &Graph,

@@ -9,6 +9,7 @@
 //!
 //! The fixtures are deliberately simple: they let tests construct exact
 //! channel configurations (who transmits when) and observe exact outcomes.
+//! [`cold_trial`] runs one scenario trial the way a one-off caller would.
 
 use crate::engine::{CollisionModel, Metrics, RoundView};
 use crate::faults::{FaultPlan, FaultSchedule};
