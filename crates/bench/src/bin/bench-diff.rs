@@ -9,7 +9,9 @@
 //!
 //! Prints a markdown report to stdout. Exit codes: `0` — no regressions
 //! (improvements and within-noise movements are fine); `1` — at least one
-//! cell regressed beyond its noise band or vanished from the new file;
+//! cell regressed beyond its noise band, vanished from the new file, or —
+//! for a cell with no spread, every `stddev` zero on both sides — changed
+//! its mean rounds, completions or channel metrics in either direction;
 //! `2` — usage or I/O error. The noise band is
 //! `sigma · sqrt(s_a²/t_a + s_b²/t_b)` per cell, from the files' recorded
 //! `stddev` and trial counts (see `rn_bench::diff`). By default the

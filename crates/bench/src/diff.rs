@@ -13,7 +13,15 @@
 //!
 //! with `sigma` the caller's confidence multiplier (default 3). Files
 //! predating the `stddev` field get a zero-width band, so *any* movement is
-//! flagged — strict, but honest about having no noise estimate. A cell
+//! flagged — strict, but honest about having no noise estimate.
+//!
+//! A cell with no spread at all — every recorded `stddev` (rounds and the
+//! channel-metric trio) zero on both sides, as in a one-trial cell or a
+//! pre-`stddev` file — is gated exactly: beyond a rise in mean rounds
+//! ([`DiffStatus::Regressed`]), a fall in mean rounds or any change in
+//! `completed` or in mean deliveries, collisions or transmissions is
+//! [`DiffStatus::Changed`], which fails too. Such a cell has no noise to
+//! hide behind, so a moved number means changed behaviour. A cell
 //! present in the baseline but missing from the new run counts as a
 //! regression (coverage loss must fail loudly); cells only in the new run
 //! are reported informationally.
@@ -43,6 +51,10 @@ pub enum DiffStatus {
     Regressed,
     /// Mean rounds fell beyond the noise band.
     Improved,
+    /// A cell without spread (every `stddev` zero on both sides) changed
+    /// other than by a rounds rise: its rounds fell, or its completions or
+    /// a channel metric moved. Fails the gate like a regression.
+    Changed,
     /// The delta is within the noise band.
     WithinNoise,
     /// The cell exists in the baseline but not in the new run (treated as a
@@ -58,6 +70,7 @@ impl DiffStatus {
         match self {
             DiffStatus::Regressed => "REGRESSED",
             DiffStatus::Improved => "improved",
+            DiffStatus::Changed => "CHANGED",
             DiffStatus::WithinNoise => "ok",
             DiffStatus::MissingInNew => "MISSING",
             DiffStatus::NewOnly => "new",
@@ -127,11 +140,15 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// Whether any row fails the gate (regressed or missing coverage).
+    /// Whether any row fails the gate (regressed, changed without noise,
+    /// or missing coverage).
     pub fn has_regressions(&self) -> bool {
-        self.rows
-            .iter()
-            .any(|r| matches!(r.status, DiffStatus::Regressed | DiffStatus::MissingInNew))
+        self.rows.iter().any(|r| {
+            matches!(
+                r.status,
+                DiffStatus::Regressed | DiffStatus::Changed | DiffStatus::MissingInNew
+            )
+        })
     }
 
     /// Count of rows with the given status.
@@ -196,8 +213,9 @@ impl DiffReport {
         }
         t.note(if self.has_regressions() {
             format!(
-                "FAIL: {} regressed, {} missing (of {} cells)",
+                "FAIL: {} regressed, {} changed, {} missing (of {} cells)",
                 self.count(DiffStatus::Regressed),
+                self.count(DiffStatus::Changed),
                 self.count(DiffStatus::MissingInNew),
                 self.rows.len()
             )
@@ -242,6 +260,31 @@ struct CellNums {
     p95: Option<f64>,
     trials: f64,
     elapsed_ms: Option<u64>,
+    completed: u64,
+    /// `(mean, stddev)` of deliveries, collisions and transmissions;
+    /// `None` for rounds-only cells, which omit the trio.
+    metrics: Option<[(f64, f64); 3]>,
+}
+
+impl CellNums {
+    /// Whether the cell records no spread: every `stddev` is zero.
+    fn spread_free(&self) -> bool {
+        self.stddev == 0.0 && self.metrics.iter().flatten().all(|&(_, sd)| sd == 0.0)
+    }
+
+    /// The cell's record minus its rounds and spreads, for the exact gate.
+    fn record(&self) -> (u64, Option<[f64; 3]>) {
+        (self.completed, self.metrics.map(|m| m.map(|(mean, _)| mean)))
+    }
+}
+
+/// `(mean, stddev)` of a quantity object; a missing `stddev` (pre-`stddev`
+/// files) reads as zero.
+fn mean_sd(q: &Json) -> (f64, f64) {
+    (
+        q.get("mean").and_then(Json::as_f64).expect("validated above"),
+        q.get("stddev").and_then(Json::as_f64).unwrap_or(0.0),
+    )
 }
 
 fn extract(doc: &Json) -> Result<(String, Vec<CellNums>), String> {
@@ -255,10 +298,16 @@ fn extract(doc: &Json) -> Result<(String, Vec<CellNums>), String> {
         // fault-free default, which keys identically to "none".
         let faults = cell.get("faults").and_then(Json::as_str).unwrap_or("none");
         let rounds = cell.get("rounds").expect("validated above");
+        let (mean, stddev) = mean_sd(rounds);
+        // The trio is all-or-nothing (validated), so one lookup decides.
+        let metrics = cell.get("deliveries").map(|_| {
+            ["deliveries", "collisions", "transmissions"]
+                .map(|k| mean_sd(cell.get(k).expect("validated above")))
+        });
         out.push(CellNums {
             key: format!("{} × {} × {} × {}", s("topology"), s("protocol"), s("model"), faults),
-            mean: rounds.get("mean").and_then(Json::as_f64).expect("validated above"),
-            stddev: rounds.get("stddev").and_then(Json::as_f64).unwrap_or(0.0),
+            mean,
+            stddev,
             // Additive quantile fields: absent in pre-quantile files, in
             // which case the tail columns degrade to "-" and the p95 gate
             // never fires.
@@ -266,6 +315,8 @@ fn extract(doc: &Json) -> Result<(String, Vec<CellNums>), String> {
             p95: rounds.get("p95").and_then(Json::as_f64),
             trials: cell.get("trials").and_then(Json::as_u64).expect("validated above") as f64,
             elapsed_ms: cell.get("elapsed_ms").and_then(Json::as_u64),
+            completed: cell.get("completed").and_then(Json::as_u64).expect("validated above"),
+            metrics,
         });
     }
     Ok((id, out))
@@ -349,6 +400,11 @@ pub fn diff_results_with(
                 let delta = n.mean - b.mean;
                 let mut status = if delta > noise {
                     DiffStatus::Regressed
+                } else if b.spread_free()
+                    && n.spread_free()
+                    && (delta != 0.0 || b.record() != n.record())
+                {
+                    DiffStatus::Changed
                 } else if -delta > noise {
                     DiffStatus::Improved
                 } else {
@@ -457,6 +513,64 @@ mod tests {
         let a = parse(&doc(100.0, 0.0, 10, "bgi"));
         let b = parse(&doc(100.5, 0.0, 10, "bgi"));
         assert!(diff_results(&a, &b, DEFAULT_SIGMA).expect("diffs").has_regressions());
+    }
+
+    #[test]
+    fn spread_free_cells_fail_on_any_record_change() {
+        let base = doc(100.0, 0.0, 1, "bgi");
+        let status = |new: &str| {
+            let r = diff_results(&parse(&base), &parse(new), DEFAULT_SIGMA).expect("diffs");
+            (r.rows[0].status, r.has_regressions())
+        };
+        assert_eq!(status(&base), (DiffStatus::WithinNoise, false));
+        assert_eq!(status(&doc(99.0, 0.0, 1, "bgi")), (DiffStatus::Changed, true), "rounds fell");
+        assert_eq!(status(&doc(101.0, 0.0, 1, "bgi")), (DiffStatus::Regressed, true));
+        let lost = base.replace("\"completed\":1", "\"completed\":0");
+        assert_eq!(status(&lost), (DiffStatus::Changed, true), "completion lost");
+        for metric in ["deliveries", "collisions", "transmissions"] {
+            let moved = base.replace(
+                &format!("\"{metric}\":{{\"mean\":1,"),
+                &format!("\"{metric}\":{{\"mean\":2,"),
+            );
+            assert_ne!(moved, base);
+            assert_eq!(status(&moved), (DiffStatus::Changed, true), "{metric} moved");
+        }
+        // A cell with spread keeps the noise band: a rounds fall is an
+        // improvement and a completion change alone is not judged.
+        let noisy = doc(100.0, 5.0, 10, "bgi");
+        let r = diff_results(&parse(&noisy), &parse(&doc(80.0, 5.0, 10, "bgi")), DEFAULT_SIGMA);
+        assert_eq!(r.expect("diffs").rows[0].status, DiffStatus::Improved);
+        let fewer = noisy.replace("\"completed\":10", "\"completed\":9");
+        let r = diff_results(&parse(&noisy), &parse(&fewer), DEFAULT_SIGMA).expect("diffs");
+        assert_eq!(r.rows[0].status, DiffStatus::WithinNoise);
+    }
+
+    #[test]
+    fn doctored_family_baseline_fails_the_gate() {
+        // The committed per-family baseline with the first cell's rounds
+        // lowered by 100, and another's completion and deliveries wiped
+        // out: a zero-width gate must fail it, not call it an improvement.
+        let base = include_str!("../../../benchmarks/baseline_families.json");
+        let rounds = |r: u64| {
+            format!(
+                "\"rounds\":{{\"mean\":{r},\"min\":{r},\"max\":{r},\"stddev\":0,\
+                 \"p50\":{r},\"p95\":{r},\"p99\":{r}}}"
+            )
+        };
+        let deliveries = |d: u64| rounds(d).replacen("rounds", "deliveries", 1);
+        let doctored = base.replacen(&rounds(7722), &rounds(7622), 1).replacen(
+            &format!("\"completed\":1,{},{}", rounds(7900), deliveries(727)),
+            &format!("\"completed\":0,{},{}", rounds(7900), deliveries(1)),
+            1,
+        );
+        assert_eq!(doctored.matches(&deliveries(1)).count(), 1, "both cells doctored");
+        let r = diff_results(&parse(base), &parse(&doctored), DEFAULT_SIGMA).expect("diffs");
+        assert!(r.has_regressions());
+        assert_eq!(r.count(DiffStatus::Changed), 2);
+        assert_eq!(r.count(DiffStatus::Improved), 0);
+        assert!(r.to_markdown().contains("FAIL: 0 regressed, 2 changed"), "{}", r.to_markdown());
+        let r = diff_results(&parse(base), &parse(base), DEFAULT_SIGMA).expect("diffs");
+        assert!(!r.has_regressions(), "the baseline against itself passes");
     }
 
     #[test]

@@ -313,6 +313,14 @@ mod tests {
                     assert_eq!(fp.schedule.down_slot(v), ff.schedule.down_slot(v));
                     assert_eq!(fp.schedule.up_slot(v), ff.schedule.up_slot(v));
                 }
+                for d in 0..=ff.schedule.max_depth() + 1 {
+                    assert_eq!(fp.schedule.nodes_at_depth(d), ff.schedule.nodes_at_depth(d));
+                    for s in 0..=ff.schedule.window() {
+                        let (p, f) = (&fp.schedule, &ff.schedule);
+                        assert_eq!(p.down_transmitters(d, s), f.down_transmitters(d, s));
+                        assert_eq!(p.up_transmitters(d, s), f.up_transmitters(d, s));
+                    }
+                }
             }
         }
     }

@@ -466,10 +466,7 @@ impl CompeteState {
         let w = fine.schedule.window() as u64;
         let window = (ppos / w) as u32;
         let slot_in = (ppos % w) as u32;
-        for &u in fine.schedule.nodes_at_depth(window) {
-            if fine.schedule.down_slot(u) != slot_in {
-                continue;
-            }
+        for &u in fine.schedule.down_transmitters(window, slot_in) {
             if !bg && self.chosen[pre.coarse_idx[u as usize] as usize] != ci {
                 continue;
             }
@@ -514,13 +511,7 @@ impl CompeteState {
             return;
         }
         let depth = top - window;
-        if depth == 0 {
-            return; // centers do not transmit upward
-        }
-        for &u in fine.schedule.nodes_at_depth(depth) {
-            if fine.schedule.up_slot(u) != slot_in {
-                continue;
-            }
+        for &u in fine.schedule.up_transmitters(depth, slot_in) {
             if !bg && self.chosen[pre.coarse_idx[u as usize] as usize] != ci {
                 continue;
             }
@@ -580,12 +571,10 @@ impl CompeteState {
             let p_participate = (2.0f64).powi(-i);
             if bg {
                 let bgi = scope as u32;
+                let bg_seed = rng::derive(seed, 0xB6 ^ bgi as u64);
                 self.alg4_bg.participating.clear();
                 for &c in &self.bg_live[bgi as usize] {
-                    let coin = rng::derive(
-                        rng::derive(rng::derive(seed, 0xB6 ^ bgi as u64), c as u64),
-                        block,
-                    );
+                    let coin = rng::derive(rng::derive(bg_seed, c as u64), block);
                     if (coin as f64 / u64::MAX as f64) < p_participate {
                         self.alg4_bg.participating.push((bgi, c));
                     }
@@ -595,6 +584,7 @@ impl CompeteState {
                 self.alg4_main.participating.clear();
                 for k in 0..self.active_fines.len() {
                     let fi = self.active_fines[k];
+                    let fine_seed = rng::derive(seed, 0xF1 ^ fi as u64);
                     for &c in &self.fine_live[fi as usize] {
                         // Only clusters whose coarse cluster chose this fine
                         // clustering take part.
@@ -603,10 +593,7 @@ impl CompeteState {
                         if self.chosen[cc] != fi {
                             continue;
                         }
-                        let coin = rng::derive(
-                            rng::derive(rng::derive(seed, 0xF1 ^ fi as u64), c as u64),
-                            block,
-                        );
+                        let coin = rng::derive(rng::derive(fine_seed, c as u64), block);
                         if (coin as f64 / u64::MAX as f64) < p_participate {
                             self.alg4_main.participating.push((fi, c));
                         }

@@ -88,10 +88,7 @@ impl Protocol for Downcast<'_> {
         if window > self.radius {
             return;
         }
-        for &u in self.sched.nodes_at_depth(window) {
-            if self.sched.down_slot(u) != slot {
-                continue;
-            }
+        for &u in self.sched.down_transmitters(window, slot) {
             if let Some(v) = self.value[u as usize] {
                 tx.send(u, SchedMsg { cluster: self.sched.cluster(u), value: v });
             }
@@ -173,13 +170,7 @@ impl Protocol for Upcast<'_> {
             return;
         }
         let depth = self.radius - window; // deepest first
-        if depth == 0 {
-            return; // centers never transmit upward
-        }
-        for &u in self.sched.nodes_at_depth(depth) {
-            if self.sched.up_slot(u) != slot {
-                continue;
-            }
+        for &u in self.sched.up_transmitters(depth, slot) {
             if let Some(v) = self.value[u as usize] {
                 tx.send(u, SchedMsg { cluster: self.sched.cluster(u), value: v });
             }

@@ -108,10 +108,7 @@ impl Protocol for PipelinedDowncast<'_> {
         while d <= self.radius {
             if window >= d as u64 && (window - d as u64) / GAP < self.k as u64 {
                 let m = ((window - d as u64) / GAP) as usize;
-                for &u in self.sched.nodes_at_depth(d) {
-                    if self.sched.down_slot(u) != slot {
-                        continue;
-                    }
+                for &u in self.sched.down_transmitters(d, slot) {
                     if let Some(v) = self.received[u as usize][m] {
                         tx.send(
                             u,

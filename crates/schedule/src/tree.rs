@@ -50,9 +50,14 @@ pub struct TreeSchedule {
     /// CSR of nodes grouped by depth across all clusters (they share
     /// windows): depth `d` owns `depth_nodes[depth_start[d]..depth_start[d+1]]`.
     /// Flat so pooled rebuilds reuse two `n`-bounded buffers even when
-    /// `max_depth` changes between trials.
+    /// `max_depth` changes between trials. Layer 0 (the centers) is in
+    /// ascending id order; every deeper layer is in (up slot, id) order,
+    /// so `depth_nodes` doubles as the upcast transmitter list.
     depth_start: Vec<u32>,
     depth_nodes: Vec<NodeId>,
+    /// The nodes with tree children, in (depth, down slot, id) order: the
+    /// downcast transmitter list.
+    down_tx: Vec<NodeId>,
     /// CSR of tree children: node `v` owns
     /// `child_data[child_start[v]..child_start[v+1]]`.
     child_start: Vec<u32>,
@@ -63,13 +68,15 @@ pub struct TreeSchedule {
 
 /// Reusable workspace for [`TreeSchedule::rebuild`]: the BFS queue, the
 /// layer-adjacency lists, the greedy coloring's color marks, and the
-/// counting-sort cursors. All are bounded by `n` or `m`, so after the first
-/// rebuild on a given graph subsequent rebuilds perform no heap allocation.
+/// counting-sort cursors. All are bounded by `2n + 1` or `m`, so after the
+/// first rebuild on a given graph subsequent rebuilds perform no heap
+/// allocation.
 #[derive(Debug, Default)]
 pub struct TreeScheduleScratch {
     queue: VecDeque<NodeId>,
     /// `U(u)`: `u`'s neighbors in its cluster one layer up, as the span
-    /// `up_span[u]` of `up` (filled in BFS order).
+    /// `up_span[u]` of `up` (filled in BFS order). Once the coloring is
+    /// done, `up` holds the up list's counts for the final counting sort.
     up: Vec<NodeId>,
     up_span: Vec<(u32, u32)>,
     /// `D(v)`: `v`'s neighbors in its cluster one layer down (the transpose
@@ -140,6 +147,7 @@ impl TreeSchedule {
             up_slot: Vec::new(),
             depth_start: Vec::new(),
             depth_nodes: Vec::new(),
+            down_tx: Vec::new(),
             child_start: Vec::new(),
             child_data: Vec::new(),
             overflow: 0,
@@ -175,6 +183,7 @@ impl TreeSchedule {
             up_slot,
             depth_start,
             depth_nodes,
+            down_tx,
             child_start,
             child_data,
             ..
@@ -233,7 +242,8 @@ impl TreeSchedule {
             depth_nodes.resize(n, 0);
         }
         cursor.clear();
-        cursor.reserve(n + 1);
+        // The largest use is the `(depth, slot)` counts below, `≤ 2n + 1`.
+        cursor.reserve(2 * n + 1);
         cursor.extend_from_slice(&depth_start[..max_depth as usize + 1]);
         for v in 0..n {
             let at = &mut cursor[depth[v] as usize];
@@ -375,7 +385,31 @@ impl TreeSchedule {
         };
         self.window = window;
 
-        // Fold colors into the window; count overflows.
+        // Transmitter lists: a counting sort by `(depth, slot)`, with the
+        // counts in scratch. Scanning ids upwards keeps each `(depth, slot)`
+        // run in ascending id order, which callers rely on: send order sets
+        // callback order, and Algorithm 4's coin draws follow it.
+        // Layer `d` owns keys `depth_start[d] + d ..= depth_start[d+1] + d`:
+        // one per slot below its size (a greedy color `c` needs `c`
+        // same-layer conflicts, so every slot is below it), and a last one
+        // for "no slot", where the centers sort in the up order.
+        let keys = n + max_depth as usize + 1;
+        let key = |v: usize, slot: u32| {
+            let d = depth[v] as usize;
+            let layer = depth_start[d + 1] - depth_start[d];
+            debug_assert!(slot == u32::MAX || slot < layer, "slot below layer size");
+            (depth_start[d] + d as u32 + slot.min(layer)) as usize
+        };
+        // The layer-up lists are spent: `up` holds the up-list counts.
+        let (down_at, up_at) = (cursor, up);
+        down_at.clear();
+        down_at.resize(keys + 1, 0);
+        up_at.clear();
+        up_at.reserve(2 * n + 1);
+        up_at.resize(keys + 1, 0);
+
+        // Fold colors into the window, count overflows, and count each
+        // key's transmitters.
         let mut overflow = 0;
         for v in 0..n {
             if down_color[v] != u32::MAX {
@@ -383,6 +417,7 @@ impl TreeSchedule {
                     overflow += 1;
                 }
                 down_color[v] %= window;
+                down_at[key(v, down_color[v]) + 1] += 1;
             }
             if up_color[v] != u32::MAX {
                 if up_color[v] >= window {
@@ -390,8 +425,30 @@ impl TreeSchedule {
                 }
                 up_color[v] %= window;
             }
+            up_at[key(v, up_color[v]) + 1] += 1;
         }
         self.overflow = overflow;
+        for k in 1..keys + 1 {
+            down_at[k] += down_at[k - 1];
+            up_at[k] += up_at[k - 1];
+        }
+
+        // The down list holds only the nodes with children. The up list is
+        // `depth_nodes` itself, re-sorted in place: every layer keeps its
+        // `depth_start` range, and the centers keep layer 0 in id order.
+        down_tx.clear();
+        down_tx.reserve(n);
+        down_tx.resize(down_at[keys] as usize, 0);
+        for v in 0..n {
+            if down_color[v] != u32::MAX {
+                let at = &mut down_at[key(v, down_color[v])];
+                down_tx[*at as usize] = v as NodeId;
+                *at += 1;
+            }
+            let at = &mut up_at[key(v, up_color[v])];
+            depth_nodes[*at as usize] = v as NodeId;
+            *at += 1;
+        }
     }
 
     /// The window width `W` (slots per layer; the schedule's period).
@@ -441,13 +498,44 @@ impl TreeSchedule {
         &self.child_data[self.child_start[v] as usize..self.child_start[v + 1] as usize]
     }
 
-    /// Nodes at tree depth `d`, across all clusters.
+    /// Nodes at tree depth `d`, across all clusters. Layer 0 (the cluster
+    /// centers) is in ascending id order; deeper layers are in (up slot, id)
+    /// order, not id order.
     pub fn nodes_at_depth(&self, d: u32) -> &[NodeId] {
         if d > self.max_depth {
             return &[];
         }
         let d = d as usize;
         &self.depth_nodes[self.depth_start[d] as usize..self.depth_start[d + 1] as usize]
+    }
+
+    /// The nodes at depth `d` whose downcast slot is `s` (exactly the nodes
+    /// with tree children there), in ascending id order. Empty when `d`
+    /// is past [`TreeSchedule::max_depth`] or `s` is not below the window.
+    pub fn down_transmitters(&self, d: u32, s: u32) -> &[NodeId] {
+        self.in_slot(&self.down_tx, &self.down_slot, d, s)
+    }
+
+    /// The nodes at depth `d` whose upcast slot is `s`, in ascending id
+    /// order. Empty for `d = 0` (centers never transmit upward), when `d`
+    /// is past [`TreeSchedule::max_depth`], or when `s` is not below the
+    /// window.
+    pub fn up_transmitters(&self, d: u32, s: u32) -> &[NodeId] {
+        self.in_slot(&self.depth_nodes, &self.up_slot, d, s)
+    }
+
+    /// The run of `list` (sorted by `(depth, slot[v], id)`) at depth `d`
+    /// in slot `s`, by binary search. A schedule step looks up one run, so
+    /// the search is cheap next to sending it; the `s < W` test keeps out
+    /// the nodes without a slot (`u32::MAX`).
+    fn in_slot<'a>(&self, list: &'a [NodeId], slot: &[u32], d: u32, s: u32) -> &'a [NodeId] {
+        if s >= self.window {
+            return &[];
+        }
+        let key = |v: &NodeId| (self.depth[*v as usize], slot[*v as usize]);
+        let lo = list.partition_point(|v| key(v) < (d, s));
+        let hi = lo + list[lo..].partition_point(|v| key(v) == (d, s));
+        &list[lo..hi]
     }
 
     /// How many node colors wrapped past the window (0 = fully conflict-free
@@ -637,6 +725,7 @@ mod tests {
                 assert_eq!(pooled.up_slot, fresh.up_slot);
                 assert_eq!(pooled.depth_start, fresh.depth_start);
                 assert_eq!(pooled.depth_nodes, fresh.depth_nodes);
+                assert_eq!(pooled.down_tx, fresh.down_tx);
                 assert_eq!(pooled.child_start, fresh.child_start);
                 assert_eq!(pooled.child_data, fresh.child_data);
                 assert_eq!(pooled.overflow, fresh.overflow);

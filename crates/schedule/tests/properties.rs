@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rn_cluster::Partition;
-use rn_graph::{Graph, INVALID_NODE};
+use rn_graph::{Graph, NodeId, INVALID_NODE};
 use rn_schedule::{Downcast, PipelinedDowncast, SlotPolicy, TreeSchedule, Upcast};
 use rn_sim::{CollisionModel, Simulator};
 
@@ -54,6 +54,49 @@ proptest! {
         let total: usize =
             (0..=sched.max_depth()).map(|d| sched.nodes_at_depth(d).len()).sum();
         prop_assert_eq!(total, g.n());
+    }
+
+    #[test]
+    fn transmitter_lists_equal_the_filtered_layer_scan(
+        g in arb_connected_graph(), seed in any::<u64>(), beta_milli in 50u32..900,
+    ) {
+        // Each list must equal a scan of its layer in id order, filtered on
+        // the slot: the same nodes in the same order, for any window width.
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let part = Partition::compute(&g, beta_milli as f64 / 1000.0, &mut rng);
+        for policy in [SlotPolicy::Auto, SlotPolicy::Fixed(1), SlotPolicy::Fixed(5)] {
+            let sched = TreeSchedule::build(&g, &part, policy);
+            let scan = |d: u32, slot: &dyn Fn(NodeId) -> u32, s: u32| -> Vec<NodeId> {
+                g.nodes().filter(|&v| sched.depth(v) == d && slot(v) == s).collect()
+            };
+            for d in 0..=sched.max_depth() + 1 {
+                for s in 0..=sched.window() {
+                    prop_assert_eq!(
+                        sched.down_transmitters(d, s),
+                        &scan(d, &|v| sched.down_slot(v), s)[..],
+                        "down d={} s={} {:?}", d, s, policy
+                    );
+                    prop_assert_eq!(
+                        sched.up_transmitters(d, s),
+                        &scan(d, &|v| sched.up_slot(v), s)[..],
+                        "up d={} s={} {:?}", d, s, policy
+                    );
+                }
+                // "No slot" (`u32::MAX`) is not a slot: nobody sends in it.
+                prop_assert!(sched.down_transmitters(d, u32::MAX).is_empty());
+                prop_assert!(sched.up_transmitters(d, u32::MAX).is_empty());
+            }
+            // nodes_at_depth still partitions the node set by depth.
+            let mut seen = vec![false; g.n()];
+            for d in 0..=sched.max_depth() {
+                for &v in sched.nodes_at_depth(d) {
+                    prop_assert_eq!(sched.depth(v), d);
+                    prop_assert!(!seen[v as usize], "node {} listed twice", v);
+                    seen[v as usize] = true;
+                }
+            }
+            prop_assert!(seen.iter().all(|&x| x), "every node listed");
+        }
     }
 
     #[test]
